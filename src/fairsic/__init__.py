@@ -58,7 +58,7 @@ from .ordering import (
     render_order,
     undecoded_prefix,
 )
-from .rates import RateVector, min_rate, rate_of_user, rate_vector, receiver_rate_bounds
+from .rates import RateVector, min_rate, rate_vector, receiver_rate_bounds
 from .scenario import (
     dump_scenario,
     load_scenario,
@@ -113,7 +113,6 @@ __all__ = [
     "random_gaussian_channel",
     "random_submodular_tables",
     "rank_value",
-    "rate_of_user",
     "rate_vector",
     "receiver_rate_bounds",
     "render_order",

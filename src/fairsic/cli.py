@@ -4,7 +4,7 @@ Commands: solve, rates, certify, validate, gen.  Exit codes: 0 success or
 pass, 1 validation failure (including refusal of non-rank inputs), 2
 scenario parse error, 3 enumeration budget exceeded, 4 certification
 failure.  Output is deterministic: identical inputs produce byte-identical
-output regardless of --jobs.
+output; certify's --jobs is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -75,9 +75,14 @@ def _parse_profile_arg(text: str, num_users: int) -> DecodingProfile:
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read profile from {path}: {exc}") from exc
         sequences = doc.get("profile") if isinstance(doc, dict) else doc
-        if not isinstance(sequences, list):
+        if not isinstance(sequences, list) or not all(
+            isinstance(seq, list)
+            and all(isinstance(u, int) and not isinstance(u, bool) for u in seq)
+            for seq in sequences
+        ):
             raise ValidationError(
-                f"profile document {path} must hold a 'profile' list of decode sequences"
+                f"profile document {path} must hold a 'profile' list of decode "
+                "sequences, each a list of integer users"
             )
     else:
         sequences = []
@@ -170,7 +175,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     channel = load_scenario(cfg.scenario)
     ranks = RankFunctionSet.for_channel(channel)
     report: CertificationReport = certify(
-        ranks, EnumerationBudget(), tol=cfg.tol, jobs=cfg.jobs, force=cfg.force
+        ranks, EnumerationBudget(), tol=cfg.tol, force=cfg.force
     )
     if cfg.fmt == "structured":
         _emit(
@@ -305,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check the greedy result against brute force")
     add_common(p)
     p.add_argument("--force", action="store_true", help="skip the rank-axiom gate")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; no effect"
+    )
 
     p = sub.add_parser("validate", help="check the rank axioms by enumeration")
     add_common(p)
@@ -345,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NonRankInputError, ValidationError, IndexError) as exc:
+    except (NonRankInputError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .channels import DmcChannel, GaussianChannel, TabulatedRanks
+from .errors import ValidationError
 
 GAIN_RANGE = (0.05, 2.0)
 POWER_RANGE = (0.5, 2.0)
@@ -92,6 +93,8 @@ def generate_channel(
     power: float | None = None,
     noise: float | None = None,
 ):
+    if num_users < 1:
+        raise ValidationError(f"user count must be at least 1, got {num_users}")
     rng = rng_from_seed(seed)
     if kind == "gaussian":
         return random_gaussian_channel(num_users, rng, power=power, noise=noise)

@@ -6,14 +6,18 @@ inside the prefix never change any rate, so this loses nothing while
 shrinking the joint space.  Per receiver there are
 sum over t of (K-1)!/t! configurations: 1, 2, 5, 16 for K = 1..4.
 
-The search is a full scan, never pruned: this module is the trust anchor
-the greedy solver is certified against.
+Every configuration of every receiver is evaluated, never pruned: this
+module is the trust anchor the greedy solver is certified against.  The
+joint optimum then follows by algebra, not by scanning the product of
+configurations: a profile's minimum rate is the smallest per-receiver
+minimum cap, receivers choose independently, so the max-min over all
+profiles is the smallest of the per-receiver maxima of those minimum caps.
+This holds for any table, submodular or not.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -89,52 +93,22 @@ def enumerate_orders(
     return orders
 
 
-def _scan_chunk(
-    config_min: list[list[float]], start: int, stop: int
-) -> tuple[float, tuple[int, ...] | None]:
-    """Full scan over combos whose first index lies in [start, stop).
-
-    Combos are visited in lexicographic index order and the first strict
-    improvement is kept, so the winner is the lexicographically smallest
-    optimum of the chunk.  Every leaf is visited; there is no pruning.
-    """
-    levels = len(config_min)
-    best_rate = -math.inf
-    best_combo: tuple[int, ...] | None = None
-    combo = [0] * levels
-
-    def descend(level: int, current: float) -> None:
-        nonlocal best_rate, best_combo
-        if level == levels:
-            if current > best_rate:
-                best_rate = current
-                best_combo = tuple(combo)
-            return
-        for index, bound in enumerate(config_min[level]):
-            combo[level] = index
-            descend(level + 1, current if current <= bound else bound)
-
-    for first in range(start, stop):
-        combo[0] = first
-        descend(1, config_min[0][first])
-    return best_rate, best_combo
-
-
 def brute_force_maxmin(
     ranks: RankFunctionSet,
     budget: EnumerationBudget | None = None,
     *,
     clamp_tol: float = DEFAULT_AXIOM_TOL,
-    jobs: int = 1,
 ) -> BruteForceResult:
-    """True max-min optimum by evaluating every joint decoding profile.
+    """True max-min optimum over every joint decoding profile.
 
-    The minimum rate of a profile equals the smallest rate cap any
-    receiver imposes on any user it decodes (every user has at least one
-    decoder), so per-receiver caps are computed once per configuration and
-    the joint scan reduces to minima of precomputed floats.  Ties on the
-    optimum resolve to the lexicographically smallest concatenated
-    permutation encoding, independent of scheduling.
+    ``m_j(c)`` is the smallest cap configuration ``c`` of receiver j
+    imposes on a user it decodes.  Each user has at least one decoder, so
+    a profile's minimum rate is ``min_j m_j(c_j)``, and since receivers
+    choose independently the optimum is ``v* = min_j max_c m_j(c)``.  A
+    profile attains it exactly when every ``m_j(c_j) >= v*``; taking each
+    receiver's first such configuration in perm-sorted order yields the
+    optimum with the lexicographically smallest concatenated permutation
+    encoding.
     """
     budget = budget or EnumerationBudget()
     num_users = ranks.num_users
@@ -155,28 +129,17 @@ def brute_force_maxmin(
         ]
         for orders in per_receiver
     ]
-
-    first_count = len(per_receiver[0])
-    jobs = max(1, min(jobs, first_count))
-    if jobs == 1:
-        best_rate, best_combo = _scan_chunk(config_min, 0, first_count)
-    else:
-        bounds = [first_count * i // jobs for i in range(jobs + 1)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_scan_chunk, config_min, bounds[i], bounds[i + 1])
-                for i in range(jobs)
-            ]
-            results = [f.result() for f in futures]
-        best_rate, best_combo = -math.inf, None
-        for rate, combo in results:
-            if combo is None:
-                continue
-            if rate > best_rate or (rate == best_rate and combo < best_combo):
-                best_rate, best_combo = rate, combo
+    threshold = min(max(caps) for caps in config_min)
+    chosen = [
+        next(index for index, cap in enumerate(caps) if cap >= threshold)
+        for caps in config_min
+    ]
     profile = DecodingProfile(
-        tuple(per_receiver[j][index] for j, index in enumerate(best_combo))
+        tuple(orders[index] for orders, index in zip(per_receiver, chosen))
     )
+    # Equals the threshold, but read from the chosen caps so that a signed
+    # zero is the one this profile's own minimum yields.
+    best_rate = min(caps[index] for caps, index in zip(config_min, chosen))
     return BruteForceResult(best_rate, profile, total)
 
 
@@ -188,9 +151,12 @@ def certify(
     jobs: int = 1,
     force: bool = False,
 ) -> CertificationReport:
-    """Compare the greedy solution against the exhaustive optimum."""
+    """Compare the greedy solution against the exhaustive optimum.
+
+    ``jobs`` is accepted for compatibility and has no effect.
+    """
     greedy = greedy_profile(ranks, tol=tol, force=force)
-    oracle = brute_force_maxmin(ranks, budget, jobs=jobs)
+    oracle = brute_force_maxmin(ranks, budget)
     gap = abs(oracle.opt_min_rate - greedy.min_rate)
     passed = gap <= tol
     return CertificationReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .channels import DEFAULT_AXIOM_TOL, DEFAULT_EQ_TOL, RankFunctionSet, rank_value
 from .errors import NonRankInputError
-from .ordering import DecodingOrder, DecodingProfile, decoded_set, position_of
+from .ordering import DecodingOrder, DecodingProfile
 
 
 @dataclass(frozen=True)
@@ -68,27 +68,6 @@ def receiver_rate_bounds(
         bounds[user] = _clamped(current - previous, clamp_tol)
         previous = current
     return bounds
-
-
-def rate_of_user(
-    ranks: RankFunctionSet,
-    profile: DecodingProfile,
-    user: int,
-    *,
-    clamp_tol: float = DEFAULT_AXIOM_TOL,
-) -> float:
-    """Achieved rate of one user: the binding cap among its decoders."""
-    caps = []
-    for order in profile.orders:
-        if user not in decoded_set(order):
-            continue
-        prefix = frozenset(order.perm[: position_of(order, user) - 1])
-        through = frozenset(order.perm[: position_of(order, user)])
-        diff = rank_value(ranks, order.receiver, through) - rank_value(
-            ranks, order.receiver, prefix
-        )
-        caps.append(_clamped(diff, clamp_tol))
-    return min(caps)
 
 
 def rate_vector(

@@ -138,6 +138,19 @@ class TestRates:
         code, _, _ = run(capsys, "rates", "--scenario", TWO_USER, "--profile", "1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "profile", [[[1], [2.7]], [[1], [2, "x"]], [[1], [[2]]], [[1], [True]]]
+    )
+    def test_profile_file_entries_must_be_integers(self, capsys, tmp_path, profile):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"profile": profile}))
+        code, out, err = run(
+            capsys, "rates", "--scenario", TWO_USER, "--profile", f"@{path}"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestCertify:
     def test_pass_on_fixture(self, capsys):
@@ -236,6 +249,13 @@ class TestGen:
         code, out, _ = run(capsys, "validate", "--scenario", str(path))
         assert code == 0
         assert "axioms: PASS" in out
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dmc", "tabulated-submodular"])
+    def test_user_count_below_one_refused(self, capsys, kind):
+        code, out, err = run(capsys, "gen", "--kind", kind, "--k", "-1", "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "gaussian", "--seed", "3")

@@ -1,12 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from fairsic import (
     CapacityError,
     DecodingProfile,
     EnumerationBudget,
+    GaussianChannel,
     RankFunctionSet,
+    TabulatedRanks,
     brute_force_maxmin,
     certify,
     count_orders,
@@ -14,10 +17,12 @@ from fairsic import (
     enumerate_orders,
     greedy_profile,
     min_rate,
+    random_dmc_channel,
     random_gaussian_channel,
     random_submodular_tables,
     rate_vector,
     rng_from_seed,
+    validate_rank_axioms,
 )
 
 from conftest import LOG2_21_11, tabulated_from_values
@@ -35,6 +40,42 @@ def reference_configurations(num_users, receiver):
                 if sequence[-1] == receiver:
                     found.add(sequence)
     return found
+
+
+def superadditive_tables(num_users, rng):
+    """Monotone, normalized tables that break submodularity: squared sums."""
+    tables = []
+    for _ in range(num_users):
+        weights = rng.uniform(0.1, 2.0, size=num_users)
+        tables.append({
+            mask: sum(float(weights[k]) for k in range(num_users) if mask >> k & 1) ** 2
+            for mask in range(1 << num_users)
+        })
+    return TabulatedRanks(num_users, tuple(tables))
+
+
+def symmetric_gaussian_channel(num_users):
+    """Identical links everywhere, so many profiles tie exactly."""
+    return GaussianChannel(
+        np.ones((num_users, num_users)), np.ones(num_users), np.ones(num_users)
+    )
+
+
+def direct_scan_cases():
+    """Rank sets at K <= 3 from all five channel families."""
+    for num_users in (1, 2, 3):
+        for seed in (5, 6):
+            rng = rng_from_seed(seed)
+            yield RankFunctionSet.for_channel(random_gaussian_channel(num_users, rng))
+            yield RankFunctionSet.for_channel(random_dmc_channel(num_users, rng))
+            yield RankFunctionSet.for_channel(random_submodular_tables(num_users, rng))
+        yield RankFunctionSet.for_channel(symmetric_gaussian_channel(num_users))
+    for num_users in (2, 3):
+        ranks = RankFunctionSet.for_channel(
+            superadditive_tables(num_users, rng_from_seed(num_users))
+        )
+        assert not validate_rank_axioms(ranks).passed
+        yield ranks
 
 
 class TestEnumeration:
@@ -80,38 +121,30 @@ class TestBruteForce:
 
     def test_matches_direct_profile_scan(self):
         # Independent slow path: evaluate min_rate(rate_vector(...)) on the
-        # cartesian product of configurations and maximize.
-        for seed in (5, 6, 7):
-            ranks = RankFunctionSet.for_channel(
-                random_gaussian_channel(3, rng_from_seed(seed))
-            )
+        # cartesian product of perm-sorted configurations, keeping the first
+        # strict improvement, so value, tie-broken profile and count must all
+        # agree with the oracle.
+        for ranks in direct_scan_cases():
+            num_users = ranks.num_users
             per_receiver = [
-                sorted(enumerate_orders(3, j), key=lambda o: o.perm)
-                for j in (1, 2, 3)
+                sorted(enumerate_orders(num_users, j), key=lambda o: o.perm)
+                for j in range(1, num_users + 1)
             ]
-            best = -1.0
+            best, best_profile, count = -1.0, None, 0
             for combo in itertools.product(*per_receiver):
+                count += 1
                 profile = DecodingProfile(combo)
                 value, _ = min_rate(rate_vector(ranks, profile))
                 if value > best:
-                    best = value
+                    best, best_profile = value, profile
             result = brute_force_maxmin(ranks)
             assert result.opt_min_rate == best
-            assert result.num_configs == 125
+            assert result.best_profile == best_profile
+            assert result.num_configs == count
 
     def test_joint_budget_guard(self, two_user_ranks):
         with pytest.raises(CapacityError):
             brute_force_maxmin(two_user_ranks, EnumerationBudget(max_joint_configs=3))
-
-    def test_deterministic_across_jobs(self):
-        ranks = RankFunctionSet.for_channel(
-            random_gaussian_channel(3, rng_from_seed(99))
-        )
-        baseline = brute_force_maxmin(ranks, jobs=1)
-        for jobs in (2, 3, 8):
-            repeat = brute_force_maxmin(ranks, jobs=jobs)
-            assert repeat.opt_min_rate == baseline.opt_min_rate
-            assert repeat.best_profile == baseline.best_profile
 
     def test_repeatable(self, two_user_ranks):
         first = brute_force_maxmin(two_user_ranks)

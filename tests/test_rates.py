@@ -12,7 +12,6 @@ from fairsic import (
     min_rate,
     random_gaussian_channel,
     rank_value,
-    rate_of_user,
     rate_vector,
     receiver_rate_bounds,
     rng_from_seed,
@@ -37,15 +36,9 @@ class TestFixtureRates:
 
     def test_receiver_one_decoding_alone(self, two_user_ranks):
         profile = DecodingProfile.from_decode_sequences([(1,), (2,)])
-        assert rate_of_user(two_user_ranks, profile, 1) == pytest.approx(
+        assert rate_vector(two_user_ranks, profile)[0] == pytest.approx(
             LOG2_4_3, abs=1e-12
         )
-
-    def test_rate_of_user_matches_rate_vector(self, two_user_ranks):
-        profile = DecodingProfile.from_decode_sequences(GREEDY_PROFILE)
-        rates = rate_vector(two_user_ranks, profile)
-        for user in (1, 2):
-            assert rate_of_user(two_user_ranks, profile, user) == rates[user - 1]
 
     def test_output_length(self, two_user_ranks):
         profile = DecodingProfile.from_decode_sequences(GREEDY_PROFILE)
