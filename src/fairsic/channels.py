@@ -16,8 +16,8 @@ Users and receivers are 1-based throughout (user k, receiver j, both in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -27,7 +27,8 @@ from .errors import CapacityError, IncompleteTableError, ValidationError
 PMF_TOL = 1e-12
 DEFAULT_AXIOM_TOL = 1e-9
 DEFAULT_EQ_TOL = 1e-12
-# Cap on (joint input tuples) x (output letters) enumerated per rank value.
+# Cap on (joint input tuples) x (output letters) per rank value: the element
+# count of the largest tensor one evaluation allocates, so it bounds memory.
 DEFAULT_DMC_TERM_CAP = 1 << 24
 
 
@@ -66,12 +67,20 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_pmf(pmf: np.ndarray, label: str) -> None:
-    if np.any(pmf < 0) or not np.all(np.isfinite(pmf)):
-        raise ValidationError(f"{label} has negative or non-finite entries")
-    total = math.fsum(float(p) for p in pmf)
-    if abs(total - 1.0) > PMF_TOL:
-        raise ValidationError(f"{label} sums to {total!r}, expected 1 within {PMF_TOL}")
+def _check_pmfs(rows: np.ndarray, label: str) -> None:
+    """Require every row of a 2-D array to be a pmf; report the first bad row.
+
+    ``label.format(row)`` names a failing row in the error message.
+    """
+    broken = (rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1)
+    for row, (entries, bad) in enumerate(zip(rows.tolist(), broken.tolist())):
+        if bad:
+            raise ValidationError(f"{label.format(row)} has negative or non-finite entries")
+        total = math.fsum(entries)
+        if abs(total - 1.0) > PMF_TOL:
+            raise ValidationError(
+                f"{label.format(row)} sums to {total!r}, expected 1 within {PMF_TOL}"
+            )
 
 
 @dataclass(frozen=True)
@@ -141,11 +150,13 @@ class DmcChannel:
     ``input_pmfs[k-1]`` is the fixed input distribution of user k; inputs
     are independent across users.  ``transitions[j-1]`` has one row per
     joint input tuple (row-major over (x_1, ..., x_K)) holding a pmf over
-    receiver j's output alphabet.
+    receiver j's output alphabet.  ``joint_input_pmf`` caches the product
+    law of the inputs as a (|X_1|, ..., |X_K|) array.
     """
 
     input_pmfs: tuple[np.ndarray, ...]
     transitions: tuple[np.ndarray, ...]
+    joint_input_pmf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pmfs = tuple(_freeze(p) for p in self.input_pmfs)
@@ -155,21 +166,22 @@ class DmcChannel:
             raise ValidationError("at least one user required")
         if len(tables) != num_users:
             raise ValidationError("one transition table per receiver required")
-        joint = 1
+        # p(x_1, ..., x_K), multiplied left to right from 1.0.
+        joint_pmf = np.float64(1.0)
         for k, pmf in enumerate(pmfs, start=1):
             if pmf.ndim != 1 or pmf.shape[0] < 1:
                 raise ValidationError(f"input pmf of user {k} must be a 1-D vector")
-            _check_pmf(pmf, f"input pmf of user {k}")
-            joint *= pmf.shape[0]
+            _check_pmfs(pmf[np.newaxis], f"input pmf of user {k}")
+            joint_pmf = np.multiply.outer(joint_pmf, pmf)
         for j, table in enumerate(tables, start=1):
-            if table.ndim != 2 or table.shape[0] != joint:
+            if table.ndim != 2 or table.shape[0] != joint_pmf.size:
                 raise ValidationError(
-                    f"transition table of receiver {j} must have {joint} rows"
+                    f"transition table of receiver {j} must have {joint_pmf.size} rows"
                 )
-            for row in range(table.shape[0]):
-                _check_pmf(table[row], f"transition row {row} of receiver {j}")
+            _check_pmfs(table, f"transition row {{}} of receiver {j}")
         object.__setattr__(self, "input_pmfs", pmfs)
         object.__setattr__(self, "transitions", tables)
+        object.__setattr__(self, "joint_input_pmf", _freeze(joint_pmf))
 
     @property
     def num_users(self) -> int:
@@ -193,64 +205,53 @@ def dmc_rank_value(
 ) -> float:
     """Conditional mutual information I(output_j ; inputs in S | inputs outside S).
 
-    Exact summation over every joint input tuple and output letter with the
-    0 log 0 = 0 convention.  Raises CapacityError when the enumeration would
-    exceed ``term_cap`` terms.
+    Exact evaluation on the (|X_1|, ..., |X_K|, |Y_j|) tensor with the
+    0 log 0 = 0 convention.  Raises CapacityError when the tensor would
+    exceed ``term_cap`` elements.
+
+    The result is bit-identical to summing ``p(x) p(y|x) log2(p(y|x) /
+    p(y|x_outside))`` tuple by tuple, and rank values are compared for
+    exact equality downstream, so the rounding of every step is fixed:
+    the marginal over S is accumulated sequentially in row-major order
+    (``np.add.accumulate``, never the pairwise ``np.sum``), logs come from
+    ``math.log2`` (``np.log2`` may differ by one ulp) and the terms are
+    added by ``math.fsum``.
     """
     check_receiver(channel.num_users, receiver)
     members = check_users(channel.num_users, users)
     if not members:
         return 0.0
     sizes = channel.input_alphabet_sizes
-    joint = 1
-    for size in sizes:
-        joint *= size
-    if joint * channel.output_alphabet_sizes[receiver - 1] > term_cap:
+    out_size = channel.output_alphabet_sizes[receiver - 1]
+    joint = math.prod(sizes)
+    if joint * out_size > term_cap:
         raise CapacityError(
             f"rank evaluation needs {joint} joint tuples x "
-            f"{channel.output_alphabet_sizes[receiver - 1]} outputs, cap is {term_cap}"
+            f"{out_size} outputs, cap is {term_cap}"
         )
-    table = channel.transitions[receiver - 1]
-    pmfs = channel.input_pmfs
-    complement = [k for k in range(1, channel.num_users + 1) if k not in members]
+    inside = [k for k in range(channel.num_users) if k + 1 in members]
+    complement = [k for k in range(channel.num_users) if k + 1 not in members]
+    prob = channel.joint_input_pmf[..., np.newaxis]
+    lik = channel.transitions[receiver - 1].reshape(sizes + (out_size,))
+    mass = prob * lik  # p(x, y)
 
-    # Joint law of (inputs outside S, output): sum over the S-coordinates of
-    # p(x) * p(y | x).  Keyed by the complement projection of the tuple.
-    comp_joint: dict[tuple[int, ...], np.ndarray] = {}
-    comp_prob: dict[tuple[int, ...], float] = {}
-    tuple_probs: list[float] = []
-    for row, inputs in enumerate(product(*(range(size) for size in sizes))):
-        prob = 1.0
-        for k, symbol in enumerate(inputs):
-            prob *= float(pmfs[k][symbol])
-        tuple_probs.append(prob)
-        key = tuple(inputs[k - 1] for k in complement)
-        if key in comp_joint:
-            comp_joint[key] = comp_joint[key] + prob * table[row]
-        else:
-            comp_joint[key] = prob * table[row]
-    for key in comp_joint:
-        prob = 1.0
-        for pos, k in enumerate(complement):
-            prob *= float(pmfs[k - 1][key[pos]])
-        comp_prob[key] = prob
+    # p(x_outside, y): the S-coordinates flattened row-major to the front
+    # and added one slice after another, as a tuple-by-tuple sum would.
+    stacked = np.moveaxis(mass, inside, range(len(inside)))
+    stacked = stacked.reshape((-1,) + stacked.shape[len(inside):])
+    kept_shape = tuple(1 if k + 1 in members else sizes[k] for k in range(len(sizes)))
+    marginal = np.add.accumulate(stacked, axis=0)[-1].reshape(kept_shape + (out_size,))
+    comp_mass = np.float64(1.0)
+    for k in complement:
+        comp_mass = np.multiply.outer(comp_mass, channel.input_pmfs[k])
+    comp_mass = np.reshape(comp_mass, kept_shape + (1,))
 
-    terms: list[float] = []
-    out_size = table.shape[1]
-    for row, inputs in enumerate(product(*(range(size) for size in sizes))):
-        prob = tuple_probs[row]
-        if prob == 0.0:
-            continue
-        key = tuple(inputs[k - 1] for k in complement)
-        marginal = comp_joint[key]
-        comp_mass = comp_prob[key]
-        for y in range(out_size):
-            lik = float(table[row, y])
-            if lik == 0.0:
-                continue
-            # p(y | x_outside) = marginal[y] / comp_mass
-            terms.append(prob * lik * math.log2(lik * comp_mass / float(marginal[y])))
-    return math.fsum(terms)
+    keep = (prob != 0.0) & (lik != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # p(y | x_outside) = marginal / comp_mass
+        ratio = (lik * comp_mass) / marginal
+    logs = map(math.log2, ratio[keep].tolist())
+    return math.fsum(map(operator.mul, mass[keep].tolist(), logs))
 
 
 @dataclass(frozen=True)
@@ -323,12 +324,14 @@ class RankFunctionSet:
 
     Evaluation is pure; a private memo table keyed by (receiver, subset
     mask) caches values, which is safe because backends are immutable.
+    The rank-axiom verdict per tolerance is memoized separately.
     """
 
     num_users: int
     kind: str  # "gaussian" | "dmc" | "tabulated"
     backend: Channel
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _axiom_verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def for_channel(cls, channel: Channel) -> "RankFunctionSet":

@@ -55,11 +55,10 @@ def ensure_rank_input(
     """
     if ranks.kind != "tabulated" or force:
         return
-    key = ("axioms-validated", tol)
-    verdict = ranks._cache.get(key)
+    verdict = ranks._axiom_verdicts.get(tol)
     if verdict is None:
         verdict = validate_rank_axioms(ranks, tol).passed
-        ranks._cache[key] = verdict
+        ranks._axiom_verdicts[tol] = verdict
     if not verdict:
         raise NonRankInputError(
             "tabulated backend violates the rank axioms; greedy optimality "

@@ -40,7 +40,8 @@ def _check_fields(doc: Mapping[str, Any], expected: set[str]) -> None:
 
 def _user_count(doc: Mapping[str, Any]) -> int:
     num_users = doc["K"]
-    if not isinstance(num_users, int) or num_users < 1:
+    # ``type(...) is int``: JSON true/false load as bool, a subclass of int.
+    if type(num_users) is not int or num_users < 1:
         raise ScenarioParseError("field 'K' must be a positive integer")
     return num_users
 
@@ -85,7 +86,7 @@ def _parse_dmc(doc: Mapping[str, Any]) -> DmcChannel:
         if (
             not isinstance(sizes, list)
             or len(sizes) != num_users
-            or not all(isinstance(s, int) and s >= 1 for s in sizes)
+            or not all(type(s) is int and s >= 1 for s in sizes)
         ):
             raise ScenarioParseError(
                 f"field '{name}' must list {num_users} integers >= 1"
@@ -149,7 +150,7 @@ def _parse_tabulated(doc: Mapping[str, Any]) -> TabulatedRanks:
                     f"[[sorted user indices], value] pairs"
                 )
             users = entry[0]
-            if not all(isinstance(u, int) for u in users) or users != sorted(users):
+            if not all(type(u) is int for u in users) or users != sorted(users):
                 raise ScenarioParseError(
                     f"field 'tables' receiver {j}: subsets must be sorted "
                     f"integer lists, got {users}"

@@ -82,6 +82,29 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--scenario", path, "--force")
         assert code == 0
 
+    def test_dmc_zero_mass_input_symbol(self, capsys, tmp_path):
+        # User 1 never sends its second symbol; those tuples carry no mass.
+        path = tmp_path / "zero_mass.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "dmc",
+                    "K": 2,
+                    "input_alphabet_sizes": [2, 2],
+                    "output_alphabet_sizes": [2, 2],
+                    "input_pmfs": [[1.0, 0.0], [0.5, 0.5]],
+                    "transitions": [
+                        [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+                        [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.0, 1.0]],
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, "solve", "--scenario", str(path))
+        assert code == 0
+        assert out
+        assert err == ""
+
     def test_deterministic_output(self, capsys):
         outputs = {
             run(capsys, "solve", "--scenario", TWO_USER, "--format", "structured")[1]

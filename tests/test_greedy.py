@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fairsic.greedy
 from fairsic import (
     GaussianChannel,
     NonRankInputError,
@@ -117,6 +118,28 @@ class TestRankGate:
         )
         report = greedy_profile(ranks)
         assert report.backend_kind == "tabulated"
+
+    def test_verdict_cached_apart_from_rank_values(self, monkeypatch):
+        runs = []
+        validate = fairsic.greedy.validate_rank_axioms
+
+        def counting_validate(*args, **kwargs):
+            runs.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(fairsic.greedy, "validate_rank_axioms", counting_validate)
+        ranks = RankFunctionSet.for_channel(
+            tabulated_from_values([(0.0, 1.0, 1.0, 1.5), (0.0, 1.0, 1.0, 1.5)])
+        )
+        first = greedy_profile(ranks)
+        assert ranks._cache
+        assert all(
+            isinstance(key, tuple) and [type(part) for part in key] == [int, int]
+            for key in ranks._cache
+        )
+        second = greedy_profile(ranks)
+        assert (second.profile, second.rates) == (first.profile, first.rates)
+        assert len(runs) == 1
 
 
 class TestGaussianFastPath:

@@ -122,6 +122,29 @@ class TestTabulatedParsing:
             parse_scenario(doc)
 
 
+BOOLEAN_INTEGER_DOCS = {
+    "K": {"kind": "gaussian", "K": True, "gains": [[1.0]], "powers": [1.0], "noise_vars": [1.0]},
+    "input_alphabet_sizes": {
+        "kind": "dmc",
+        "K": 1,
+        "input_alphabet_sizes": [True],
+        "output_alphabet_sizes": [2],
+        "input_pmfs": [[1.0]],
+        "transitions": [[[0.5, 0.5]]],
+    },
+    "tabulated user": {"kind": "tabulated", "K": 1, "tables": [[[[], 0.0], [[True], 1.0]]]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_INTEGER_DOCS))
+def test_boolean_in_integer_field_rejected(field):
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(BOOLEAN_INTEGER_DOCS[field])
+    # The same document with 1 in place of true parses.
+    fixed = json.loads(json.dumps(BOOLEAN_INTEGER_DOCS[field]).replace("true", "1"))
+    parse_scenario(fixed)
+
+
 class TestFiles:
     def test_save_load_round_trip(self, tmp_path, two_user_channel):
         path = tmp_path / "scenario.json"
