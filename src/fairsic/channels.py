@@ -83,6 +83,14 @@ def _check_pmfs(rows: np.ndarray, label: str) -> None:
             )
 
 
+def _product_pmf(pmfs: Iterable[np.ndarray]) -> np.ndarray:
+    """Joint pmf of independent inputs, multiplied left to right from 1.0."""
+    joint = np.float64(1.0)
+    for pmf in pmfs:
+        joint = np.multiply.outer(joint, pmf)
+    return np.asarray(joint)
+
+
 @dataclass(frozen=True)
 class GaussianChannel:
     """Gaussian interference channel: gains, transmit powers, noise variances.
@@ -166,22 +174,21 @@ class DmcChannel:
             raise ValidationError("at least one user required")
         if len(tables) != num_users:
             raise ValidationError("one transition table per receiver required")
-        # p(x_1, ..., x_K), multiplied left to right from 1.0.
-        joint_pmf = np.float64(1.0)
+        joint = 1
         for k, pmf in enumerate(pmfs, start=1):
             if pmf.ndim != 1 or pmf.shape[0] < 1:
                 raise ValidationError(f"input pmf of user {k} must be a 1-D vector")
             _check_pmfs(pmf[np.newaxis], f"input pmf of user {k}")
-            joint_pmf = np.multiply.outer(joint_pmf, pmf)
+            joint *= pmf.shape[0]
         for j, table in enumerate(tables, start=1):
-            if table.ndim != 2 or table.shape[0] != joint_pmf.size:
+            if table.ndim != 2 or table.shape[0] != joint:
                 raise ValidationError(
-                    f"transition table of receiver {j} must have {joint_pmf.size} rows"
+                    f"transition table of receiver {j} must have {joint} rows"
                 )
             _check_pmfs(table, f"transition row {{}} of receiver {j}")
         object.__setattr__(self, "input_pmfs", pmfs)
         object.__setattr__(self, "transitions", tables)
-        object.__setattr__(self, "joint_input_pmf", _freeze(joint_pmf))
+        object.__setattr__(self, "joint_input_pmf", _freeze(_product_pmf(pmfs)))
 
     @property
     def num_users(self) -> int:
@@ -229,7 +236,7 @@ def dmc_rank_value(
             f"rank evaluation needs {joint} joint tuples x "
             f"{out_size} outputs, cap is {term_cap}"
         )
-    inside = [k for k in range(channel.num_users) if k + 1 in members]
+    inside = sorted(k - 1 for k in members)
     complement = [k for k in range(channel.num_users) if k + 1 not in members]
     prob = channel.joint_input_pmf[..., np.newaxis]
     lik = channel.transitions[receiver - 1].reshape(sizes + (out_size,))
@@ -239,12 +246,10 @@ def dmc_rank_value(
     # and added one slice after another, as a tuple-by-tuple sum would.
     stacked = np.moveaxis(mass, inside, range(len(inside)))
     stacked = stacked.reshape((-1,) + stacked.shape[len(inside):])
-    kept_shape = tuple(1 if k + 1 in members else sizes[k] for k in range(len(sizes)))
+    kept_shape = tuple(1 if k + 1 in members else size for k, size in enumerate(sizes))
     marginal = np.add.accumulate(stacked, axis=0)[-1].reshape(kept_shape + (out_size,))
-    comp_mass = np.float64(1.0)
-    for k in complement:
-        comp_mass = np.multiply.outer(comp_mass, channel.input_pmfs[k])
-    comp_mass = np.reshape(comp_mass, kept_shape + (1,))
+    comp_mass = _product_pmf(channel.input_pmfs[k] for k in complement)
+    comp_mass = comp_mass.reshape(kept_shape + (1,))
 
     keep = (prob != 0.0) & (lik != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
