@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from functools import cached_property
+from typing import ClassVar, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -41,20 +42,15 @@ def check_receiver(num_users: int, receiver: int) -> None:
         raise IndexError(f"receiver {receiver} out of range 1..{num_users}")
 
 
-def check_users(num_users: int, users: Iterable[int]) -> frozenset[int]:
+def check_users(num_users: int, users: Iterable[int]) -> tuple[frozenset[int], int]:
+    """Range-check a user set; return it and its bitmask (bit k-1 set: user k present)."""
     members = frozenset(users)
+    mask = 0
     for user in members:
         if not 1 <= user <= num_users:
             raise IndexError(f"user {user} out of range 1..{num_users}")
-    return members
-
-
-def user_mask(users: Iterable[int]) -> int:
-    """Bitmask encoding of a user set; bit (k-1) set means user k present."""
-    mask = 0
-    for user in users:
         mask |= 1 << (user - 1)
-    return mask
+    return members, mask
 
 
 def mask_users(mask: int) -> frozenset[int]:
@@ -62,7 +58,7 @@ def mask_users(mask: int) -> frozenset[int]:
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
-    array = np.asarray(array, dtype=float)
+    array = np.array(array, dtype=float)  # a copy: the caller's array stays writable
     array.setflags(write=False)
     return array
 
@@ -100,6 +96,7 @@ class GaussianChannel:
     the descending-power fast path sort on bit-identical keys.
     """
 
+    kind: ClassVar[str] = "gaussian"
     gains: np.ndarray
     powers: np.ndarray
     noise_vars: np.ndarray
@@ -130,9 +127,16 @@ class GaussianChannel:
         object.__setattr__(self, "noise_vars", noise_vars)
         object.__setattr__(self, "received_powers", _freeze(gains * powers[np.newaxis, :]))
 
-    @property
+    @cached_property
     def num_users(self) -> int:
         return self.powers.shape[0]
+
+    def _rank(self, receiver: int, members: frozenset[int], mask: int) -> float:
+        if not members:
+            return 0.0
+        row = self.received_powers[receiver - 1]
+        interference = math.fsum(float(row[user - 1]) for user in sorted(members))
+        return math.log2(1.0 + interference / float(self.noise_vars[receiver - 1]))
 
 
 def gaussian_rank_value(channel: GaussianChannel, receiver: int, users: Iterable[int]) -> float:
@@ -143,12 +147,7 @@ def gaussian_rank_value(channel: GaussianChannel, receiver: int, users: Iterable
     received-power multisets tie exactly.
     """
     check_receiver(channel.num_users, receiver)
-    members = check_users(channel.num_users, users)
-    if not members:
-        return 0.0
-    row = channel.received_powers[receiver - 1]
-    interference = math.fsum(float(row[user - 1]) for user in sorted(members))
-    return math.log2(1.0 + interference / float(channel.noise_vars[receiver - 1]))
+    return channel._rank(receiver, *check_users(channel.num_users, users))
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,7 @@ class DmcChannel:
     law of the inputs as a (|X_1|, ..., |X_K|) array.
     """
 
+    kind: ClassVar[str] = "dmc"
     input_pmfs: tuple[np.ndarray, ...]
     transitions: tuple[np.ndarray, ...]
     joint_input_pmf: np.ndarray = field(init=False, repr=False, compare=False)
@@ -190,7 +190,7 @@ class DmcChannel:
         object.__setattr__(self, "transitions", tables)
         object.__setattr__(self, "joint_input_pmf", _freeze(_product_pmf(pmfs)))
 
-    @property
+    @cached_property
     def num_users(self) -> int:
         return len(self.input_pmfs)
 
@@ -201,6 +201,46 @@ class DmcChannel:
     @property
     def output_alphabet_sizes(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.transitions)
+
+    def _rank(
+        self,
+        receiver: int,
+        members: frozenset[int],
+        mask: int,
+        term_cap: int = DEFAULT_DMC_TERM_CAP,
+    ) -> float:
+        if not members:
+            return 0.0
+        sizes = self.input_alphabet_sizes
+        out_size = self.output_alphabet_sizes[receiver - 1]
+        joint = math.prod(sizes)
+        if joint * out_size > term_cap:
+            raise CapacityError(
+                f"rank evaluation needs {joint} joint tuples x "
+                f"{out_size} outputs, cap is {term_cap}"
+            )
+        inside = sorted(k - 1 for k in members)
+        complement = [k for k in range(self.num_users) if k + 1 not in members]
+        prob = self.joint_input_pmf[..., np.newaxis]
+        lik = self.transitions[receiver - 1].reshape(sizes + (out_size,))
+        mass = prob * lik  # p(x, y)
+
+        # p(x_outside, y): the S-coordinates flattened row-major to the front
+        # and added one slice after another, as a tuple-by-tuple sum would.
+        stacked = np.moveaxis(mass, inside, range(len(inside)))
+        stacked = stacked.reshape((-1,) + stacked.shape[len(inside):])
+        kept_shape = tuple(1 if k + 1 in members else size for k, size in enumerate(sizes))
+        marginal = np.add.accumulate(stacked, axis=0)[-1].reshape(kept_shape + (out_size,))
+        comp_mass = _product_pmf(self.input_pmfs[k] for k in complement)
+        comp_mass = comp_mass.reshape(kept_shape + (1,))
+
+        # 0 log 0 = 0 for every term whose mass is zero, underflow included.
+        keep = mass != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # p(y | x_outside) = marginal / comp_mass
+            ratio = (lik * comp_mass) / marginal
+        logs = map(math.log2, ratio[keep].tolist())
+        return math.fsum(map(operator.mul, mass[keep].tolist(), logs))
 
 
 def dmc_rank_value(
@@ -225,38 +265,7 @@ def dmc_rank_value(
     added by ``math.fsum``.
     """
     check_receiver(channel.num_users, receiver)
-    members = check_users(channel.num_users, users)
-    if not members:
-        return 0.0
-    sizes = channel.input_alphabet_sizes
-    out_size = channel.output_alphabet_sizes[receiver - 1]
-    joint = math.prod(sizes)
-    if joint * out_size > term_cap:
-        raise CapacityError(
-            f"rank evaluation needs {joint} joint tuples x "
-            f"{out_size} outputs, cap is {term_cap}"
-        )
-    inside = sorted(k - 1 for k in members)
-    complement = [k for k in range(channel.num_users) if k + 1 not in members]
-    prob = channel.joint_input_pmf[..., np.newaxis]
-    lik = channel.transitions[receiver - 1].reshape(sizes + (out_size,))
-    mass = prob * lik  # p(x, y)
-
-    # p(x_outside, y): the S-coordinates flattened row-major to the front
-    # and added one slice after another, as a tuple-by-tuple sum would.
-    stacked = np.moveaxis(mass, inside, range(len(inside)))
-    stacked = stacked.reshape((-1,) + stacked.shape[len(inside):])
-    kept_shape = tuple(1 if k + 1 in members else size for k, size in enumerate(sizes))
-    marginal = np.add.accumulate(stacked, axis=0)[-1].reshape(kept_shape + (out_size,))
-    comp_mass = _product_pmf(channel.input_pmfs[k] for k in complement)
-    comp_mass = comp_mass.reshape(kept_shape + (1,))
-
-    keep = (prob != 0.0) & (lik != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # p(y | x_outside) = marginal / comp_mass
-        ratio = (lik * comp_mass) / marginal
-    logs = map(math.log2, ratio[keep].tolist())
-    return math.fsum(map(operator.mul, mass[keep].tolist(), logs))
+    return channel._rank(receiver, *check_users(channel.num_users, users), term_cap)
 
 
 @dataclass(frozen=True)
@@ -268,6 +277,7 @@ class TabulatedRanks:
     built on purpose and fed to the axiom validator.
     """
 
+    kind: ClassVar[str] = "tabulated"
     num_users: int
     tables: tuple[Mapping[int, float], ...]  # per receiver: mask -> value
 
@@ -282,14 +292,14 @@ class TabulatedRanks:
         for j, entries in enumerate(tables, start=1):
             table: dict[int, float] = {}
             for users, value in entries:
-                members = check_users(num_users, users)
+                members, mask = check_users(num_users, users)
                 value = float(value)
                 if not math.isfinite(value) or value < 0:
                     raise ValidationError(
                         f"receiver {j} table value for {sorted(members)} must be "
                         f"finite and nonnegative, got {value!r}"
                     )
-                table[user_mask(members)] = value
+                table[mask] = value
             packed.append(table)
         return cls(num_users, tuple(packed))
 
@@ -307,17 +317,8 @@ class TabulatedRanks:
                     f"missing masks {missing[:4]}{'...' if len(missing) > 4 else ''}"
                 )
 
-
-def tabulated_rank_value(ranks: TabulatedRanks, receiver: int, users: Iterable[int]) -> float:
-    check_receiver(ranks.num_users, receiver)
-    members = check_users(ranks.num_users, users)
-    mask = user_mask(members)
-    try:
-        return ranks.tables[receiver - 1][mask]
-    except KeyError:
-        raise IncompleteTableError(
-            f"receiver {receiver} table has no entry for {sorted(members)}"
-        ) from None
+    def _rank(self, receiver: int, members: frozenset[int], mask: int) -> float:
+        return self.tables[receiver - 1][mask]
 
 
 Channel = Union[GaussianChannel, DmcChannel, TabulatedRanks]
@@ -327,43 +328,42 @@ Channel = Union[GaussianChannel, DmcChannel, TabulatedRanks]
 class RankFunctionSet:
     """One rank function per receiver behind a single evaluation interface.
 
-    Evaluation is pure; a private memo table keyed by (receiver, subset
-    mask) caches values, which is safe because backends are immutable.
-    The rank-axiom verdict per tolerance is memoized separately.
+    The backend is the single owner of the backend kind and the user
+    count: ``kind`` and ``num_users`` read them from it, and its
+    ``_rank(receiver, members, mask)`` evaluates a subset that
+    ``check_users`` has range-checked once.  Evaluation is pure; a private
+    memo table keyed by (receiver, subset mask) caches values, which is
+    safe because backends are immutable.  The rank-axiom verdict per
+    tolerance is memoized separately.
     """
 
-    num_users: int
-    kind: str  # "gaussian" | "dmc" | "tabulated"
     backend: Channel
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _axiom_verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def for_channel(cls, channel: Channel) -> "RankFunctionSet":
-        if isinstance(channel, GaussianChannel):
-            return cls(channel.num_users, "gaussian", channel)
-        if isinstance(channel, DmcChannel):
-            return cls(channel.num_users, "dmc", channel)
-        if isinstance(channel, TabulatedRanks):
-            return cls(channel.num_users, "tabulated", channel)
-        raise TypeError(f"unsupported channel type: {type(channel)!r}")
+        if not isinstance(channel, Channel):
+            raise TypeError(f"unsupported channel type: {type(channel)!r}")
+        return cls(channel)
+
+    @property
+    def kind(self) -> str:  # "gaussian" | "dmc" | "tabulated"
+        return self.backend.kind
+
+    @property
+    def num_users(self) -> int:
+        return self.backend.num_users
 
 
 def rank_value(ranks: RankFunctionSet, receiver: int, users: Iterable[int]) -> float:
     """Evaluate receiver ``receiver``'s rank function on a user set."""
-    check_receiver(ranks.num_users, receiver)
-    members = check_users(ranks.num_users, users)
-    key = (receiver, user_mask(members))
-    cached = ranks._cache.get(key)
-    if cached is not None:
-        return cached
-    if ranks.kind == "gaussian":
-        value = gaussian_rank_value(ranks.backend, receiver, members)
-    elif ranks.kind == "dmc":
-        value = dmc_rank_value(ranks.backend, receiver, members)
-    elif ranks.kind == "tabulated":
-        value = tabulated_rank_value(ranks.backend, receiver, members)
-    else:
-        raise ValidationError(f"unknown backend kind {ranks.kind!r}")
-    ranks._cache[key] = value
+    backend = ranks.backend
+    num_users = backend.num_users
+    check_receiver(num_users, receiver)
+    members, mask = check_users(num_users, users)
+    key = (receiver, mask)
+    value = ranks._cache.get(key)
+    if value is None:
+        value = ranks._cache[key] = backend._rank(receiver, members, mask)
     return value

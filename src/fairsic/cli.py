@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .axioms import AxiomReport, validate_rank_axioms
 from .channels import DEFAULT_AXIOM_TOL, Channel, RankFunctionSet
@@ -35,23 +35,6 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_CERTIFICATION = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario: str | None = None
-    fmt: str = "human"
-    seed: int | None = None
-    tol: float = DEFAULT_AXIOM_TOL
-    force: bool = False
-    jobs: int = 1
-    profile: str | None = None
-    kind: str = "gaussian"
-    num_users: int = 3
-    out: str | None = None
-    power: float | None = None
-    noise: float | None = None
 
 
 def _fmt_set(users) -> str:
@@ -117,11 +100,11 @@ def _print_solve_human(channel_kind: str, report: SolveReport) -> None:
     print(f"bottleneck users: {_fmt_set(report.bottleneck_users)}")
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    channel = load_scenario(cfg.scenario)
+def cmd_solve(args: argparse.Namespace) -> int:
+    channel = load_scenario(args.scenario)
     ranks = RankFunctionSet.for_channel(channel)
-    report = greedy_profile(ranks, tol=cfg.tol, force=cfg.force)
-    if cfg.fmt == "structured":
+    report = greedy_profile(ranks, tol=args.tol, force=args.force)
+    if args.fmt == "structured":
         _emit(
             {
                 "command": "solve",
@@ -140,13 +123,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_rates(cfg: RunConfig) -> int:
-    channel = load_scenario(cfg.scenario)
+def cmd_rates(args: argparse.Namespace) -> int:
+    channel = load_scenario(args.scenario)
     ranks = RankFunctionSet.for_channel(channel)
-    profile = _parse_profile_arg(cfg.profile, ranks.num_users)
-    rates = rate_vector(ranks, profile, clamp_tol=cfg.tol)
+    profile = _parse_profile_arg(args.profile, ranks.num_users)
+    rates = rate_vector(ranks, profile, clamp_tol=args.tol)
     value, bottleneck = min_rate(rates)
-    if cfg.fmt == "structured":
+    if args.fmt == "structured":
         _emit(
             {
                 "command": "rates",
@@ -171,13 +154,13 @@ def cmd_rates(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    channel = load_scenario(cfg.scenario)
+def cmd_certify(args: argparse.Namespace) -> int:
+    channel = load_scenario(args.scenario)
     ranks = RankFunctionSet.for_channel(channel)
     report: CertificationReport = certify(
-        ranks, EnumerationBudget(), tol=cfg.tol, force=cfg.force
+        ranks, EnumerationBudget(), tol=args.tol, force=args.force
     )
-    if cfg.fmt == "structured":
+    if args.fmt == "structured":
         _emit(
             {
                 "command": "certify",
@@ -212,11 +195,11 @@ def cmd_certify(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_CERTIFICATION
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    channel = load_scenario(cfg.scenario)
+def cmd_validate(args: argparse.Namespace) -> int:
+    channel = load_scenario(args.scenario)
     ranks = RankFunctionSet.for_channel(channel)
-    report: AxiomReport = validate_rank_axioms(ranks, cfg.tol)
-    if cfg.fmt == "structured":
+    report: AxiomReport = validate_rank_axioms(ranks, args.tol)
+    if args.fmt == "structured":
         _emit(
             {
                 "command": "validate",
@@ -250,14 +233,14 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     channel: Channel = generate_channel(
-        cfg.kind, cfg.num_users, cfg.seed, power=cfg.power, noise=cfg.noise
+        args.kind, args.num_users, args.seed, power=args.power, noise=args.noise
     )
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.write(dump_scenario(channel))
     else:
-        save_scenario(channel, cfg.out)
+        save_scenario(channel, args.out)
     return EXIT_OK
 
 
@@ -271,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, scenario: bool = True) -> None:
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON path")
+    def add_common(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], int]) -> None:
+        p.set_defaults(run=run)
+        p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument(
             "--format",
             choices=("human", "structured"),
@@ -289,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("solve", help="compute the max-min optimal decoding orders")
-    add_common(p)
+    add_common(p, cmd_solve)
     p.add_argument(
         "--force",
         action="store_true",
@@ -297,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("rates", help="evaluate the rates of a supplied profile")
-    add_common(p)
+    add_common(p, cmd_rates)
     p.add_argument(
         "--profile",
         required=True,
@@ -308,14 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("certify", help="check the greedy result against brute force")
-    add_common(p)
+    add_common(p, cmd_certify)
     p.add_argument("--force", action="store_true", help="skip the rank-axiom gate")
     p.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility; no effect"
     )
 
     p = sub.add_parser("validate", help="check the rank axioms by enumeration")
-    add_common(p)
+    add_common(p, cmd_validate)
 
     p = sub.add_parser("gen", help="generate a random scenario from a seed")
     p.add_argument("--kind", choices=GENERATOR_KINDS, default="gaussian")
@@ -324,28 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--power", type=float, help="pin all transmit powers (gaussian)")
     p.add_argument("--noise", type=float, help="pin all noise variances (gaussian)")
+    p.set_defaults(run=cmd_gen)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return RunConfig(**fields)
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "rates": cmd_rates,
-    "certify": cmd_certify,
-    "validate": cmd_validate,
-    "gen": cmd_gen,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairsic.axioms
+import fairsic.greedy
+import fairsic.rates
 from fairsic import (
     CapacityError,
     DmcChannel,
@@ -16,11 +19,15 @@ from fairsic import (
     ValidationError,
     dmc_rank_value,
     gaussian_rank_value,
+    greedy_profile,
     random_dmc_channel,
+    random_gaussian_channel,
     rank_value,
+    rate_vector,
     rng_from_seed,
+    validate_rank_axioms,
 )
-from fairsic.channels import mask_users, user_mask
+from fairsic.channels import check_users, mask_users
 
 from conftest import LOG2_1_1, LOG2_3, tabulated_from_values
 
@@ -98,6 +105,16 @@ class TestGaussianValidation:
         with pytest.raises(ValueError):
             two_user_channel.gains[0, 0] = 5.0
 
+    def test_caller_arrays_stay_writable_and_detached(self):
+        gains, powers, noise = np.array([[1.0, 2.0], [0.1, 1.0]]), np.ones(2), np.ones(2)
+        channel = GaussianChannel(gains, powers, noise)
+        before = all_rank_values(gaussian_rank_value, channel)
+        assert gains.flags.writeable and powers.flags.writeable and noise.flags.writeable
+        gains[:] = 7.0
+        powers[:] = 3.0
+        noise[:] = 0.5
+        assert all_rank_values(gaussian_rank_value, channel) == before
+
 
 class TestDmcRank:
     def test_empty_set_is_exactly_zero(self, xor_dmc_channel):
@@ -149,6 +166,39 @@ class TestDmcRank:
         short = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError):
             DmcChannel((uniform, uniform), (short, short))
+
+    def test_caller_arrays_stay_writable_and_detached(self):
+        pmfs = (np.array([0.25, 0.75]), np.array([0.5, 0.5]))
+        tables = (
+            np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+            np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.0, 1.0]]),
+        )
+        channel = DmcChannel(pmfs, tables)
+        before = all_rank_values(dmc_rank_value, channel)
+        for array in pmfs + tables:
+            assert array.flags.writeable
+            array[...] = 0.0
+        assert all_rank_values(dmc_rank_value, channel) == before
+
+    def test_underflowing_mass_evaluates(self):
+        # p(x) p(y|x) = 1e-200 * 1e-200 underflows to 0 while the log
+        # argument is 0; the term must count as 0 log 0 = 0.
+        tiny = 1e-200
+        skew, half = np.array([1 - tiny, tiny]), np.array([0.5, 0.5])
+        rows = np.array([half, half, skew, half])
+        channel = DmcChannel((skew, half), (rows, rows))
+        values = all_rank_values(dmc_rank_value, channel)
+        assert all(math.isfinite(value) for value in values)
+        assert dmc_rank_value(channel, 1, {2}) > 0.0
+
+
+def all_rank_values(evaluate, channel) -> list[float]:
+    """Every (receiver, subset) value of a backend, receiver-major."""
+    return [
+        evaluate(channel, receiver, mask_users(mask))
+        for receiver in range(1, channel.num_users + 1)
+        for mask in range(1 << channel.num_users)
+    ]
 
 
 def loop_dmc_rank_value(channel: DmcChannel, receiver: int, users) -> float:
@@ -290,6 +340,77 @@ class TestRankDispatch:
         )
 
 
+THREE_BACKENDS = [
+    pytest.param(kind, channel, id=kind)
+    for kind, channel in (
+        ("gaussian", random_gaussian_channel(3, rng_from_seed(0))),
+        ("dmc", random_dmc_channel(3, rng_from_seed(0))),
+        ("tabulated", tabulated_from_values([(0.0, 0.5, 0.7, 1.0), (0.0, 0.1, 0.2, 0.3)])),
+    )
+]
+
+
+@pytest.mark.parametrize("kind, channel", THREE_BACKENDS)
+class TestSingleValidationPoint:
+    def test_out_of_range_raises_cold_and_warm(self, kind, channel):
+        ranks = RankFunctionSet.for_channel(channel)
+        top = channel.num_users + 1
+        for warm in (False, True):
+            if warm:
+                all_rank_values(lambda _, receiver, users: rank_value(ranks, receiver, users), channel)
+                assert len(ranks._cache) == channel.num_users << channel.num_users
+            for receiver in (0, top):
+                with pytest.raises(IndexError):
+                    rank_value(ranks, receiver, {1})
+            for user in (0, top):
+                with pytest.raises(IndexError):
+                    rank_value(ranks, 1, {1, user})
+
+    def test_kind_and_size_come_from_backend(self, kind, channel):
+        ranks = RankFunctionSet.for_channel(channel)
+        assert ranks.backend is channel
+        assert ranks.kind == type(channel).kind == kind
+        assert ranks.num_users == channel.num_users
+
+
+def test_for_channel_rejects_other_types():
+    with pytest.raises(TypeError):
+        RankFunctionSet.for_channel(object())
+
+
+@pytest.mark.parametrize("kind, channel", THREE_BACKENDS)
+def test_layers_call_rank_value_by_module_name(kind, channel, monkeypatch):
+    """Greedy, rates and axioms evaluate through their own ``rank_value`` name.
+
+    Tracing wraps those names with a wrapper that turns the users into a
+    frozenset; a refactor that bypasses them would leave traced counts at 0.
+    """
+    ranks = RankFunctionSet.for_channel(channel)
+    plain = greedy_profile(ranks, force=True)
+    plain_axioms = validate_rank_axioms(ranks)
+    calls = {}
+    seen = set()
+    for module in (fairsic.greedy, fairsic.rates, fairsic.axioms):
+
+        def counting(ranks, receiver, users, *, name=module.__name__, inner=module.rank_value):
+            users = frozenset(users)
+            calls[name] = calls.get(name, 0) + 1
+            seen.add((receiver, check_users(ranks.num_users, users)[1]))
+            return inner(ranks, receiver, users)
+
+        monkeypatch.setattr(module, "rank_value", counting)
+    fresh = RankFunctionSet.for_channel(channel)
+    traced = greedy_profile(fresh, force=True)
+    assert (traced.profile, traced.rates) == (plain.profile, plain.rates)
+    assert calls.keys() == {"fairsic.greedy", "fairsic.rates"}
+    assert rate_vector(fresh, traced.profile) == plain.rates
+    assert validate_rank_axioms(fresh) == plain_axioms
+    assert calls.keys() == {"fairsic.greedy", "fairsic.rates", "fairsic.axioms"}
+    assert all(count > 0 for count in calls.values())
+    # Every value the rank set holds was asked for through a traced name.
+    assert set(fresh._cache) == seen
+
+
 def test_mask_round_trip():
     for mask in range(16):
-        assert user_mask(mask_users(mask)) == mask
+        assert check_users(4, mask_users(mask)) == (mask_users(mask), mask)

@@ -105,6 +105,27 @@ class TestSolve:
         assert out
         assert err == ""
 
+    def test_dmc_underflowing_mass(self, capsys, tmp_path):
+        # p(x) p(y|x) = 1e-200 * 1e-200 underflows to 0 at input (1, 0).
+        skew, half = [1.0, 1e-200], [0.5, 0.5]
+        path = tmp_path / "underflow.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "dmc",
+                    "K": 2,
+                    "input_alphabet_sizes": [2, 2],
+                    "output_alphabet_sizes": [2, 2],
+                    "input_pmfs": [skew, half],
+                    "transitions": [[half, half, skew, half]] * 2,
+                }
+            )
+        )
+        code, out, err = run(capsys, "solve", "--scenario", str(path))
+        assert code == 0
+        assert out
+        assert err == ""
+
     def test_deterministic_output(self, capsys):
         outputs = {
             run(capsys, "solve", "--scenario", TWO_USER, "--format", "structured")[1]
