@@ -183,7 +183,7 @@ class DmcChannel:
         for j, table in enumerate(tables, start=1):
             if table.ndim != 2 or table.shape[0] != joint:
                 raise ValidationError(
-                    f"transition table of receiver {j} must have {joint} rows"
+                    f"transitions of receiver {j} must be a table of {joint} rows"
                 )
             _check_pmfs(table, f"transition row {{}} of receiver {j}")
         object.__setattr__(self, "input_pmfs", pmfs)
@@ -272,9 +272,10 @@ def dmc_rank_value(
 class TabulatedRanks:
     """Explicit per-receiver tables mapping every user subset to a value.
 
-    Construction requires a complete table (all 2^K subsets per receiver);
-    rank-axiom compliance is *not* checked here, so violating tables can be
-    built on purpose and fed to the axiom validator.
+    Construction requires a complete table (all 2^K subsets per receiver)
+    of finite, nonnegative values and keeps its own copy; rank-axiom
+    compliance is *not* checked here, so violating tables can be built on
+    purpose and fed to the axiom validator.
     """
 
     kind: ClassVar[str] = "tabulated"
@@ -287,17 +288,15 @@ class TabulatedRanks:
         num_users: int,
         tables: Iterable[Iterable[tuple[Iterable[int], float]]],
     ) -> "TabulatedRanks":
-        """Build from per-receiver (user list, value) pairs."""
+        """Build from per-receiver (user list, value) pairs, each subset listed once."""
         packed: list[dict[int, float]] = []
         for j, entries in enumerate(tables, start=1):
             table: dict[int, float] = {}
             for users, value in entries:
                 members, mask = check_users(num_users, users)
-                value = float(value)
-                if not math.isfinite(value) or value < 0:
+                if mask in table:
                     raise ValidationError(
-                        f"receiver {j} table value for {sorted(members)} must be "
-                        f"finite and nonnegative, got {value!r}"
+                        f"tables of receiver {j} list subset {sorted(members)} twice"
                     )
                 table[mask] = value
             packed.append(table)
@@ -309,6 +308,7 @@ class TabulatedRanks:
         if len(self.tables) != self.num_users:
             raise ValidationError("one table per receiver required")
         expected = 1 << self.num_users
+        owned = []
         for j, table in enumerate(self.tables, start=1):
             if len(table) != expected or set(table) != set(range(expected)):
                 missing = sorted(set(range(expected)) - set(table))
@@ -316,6 +316,16 @@ class TabulatedRanks:
                     f"receiver {j} table must cover all {expected} subsets; "
                     f"missing masks {missing[:4]}{'...' if len(missing) > 4 else ''}"
                 )
+            # A copy: later writes to the caller's dict change no rank value.
+            values = {mask: float(value) for mask, value in table.items()}
+            for mask, value in values.items():
+                if not math.isfinite(value) or value < 0:
+                    raise ValidationError(
+                        f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
+                        f"must be finite and nonnegative, got {value!r}"
+                    )
+            owned.append(values)
+        object.__setattr__(self, "tables", tuple(owned))
 
     def _rank(self, receiver: int, members: frozenset[int], mask: int) -> float:
         return self.tables[receiver - 1][mask]
@@ -341,10 +351,12 @@ class RankFunctionSet:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _axiom_verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.backend, Channel):
+            raise TypeError(f"unsupported channel type: {type(self.backend)!r}")
+
     @classmethod
     def for_channel(cls, channel: Channel) -> "RankFunctionSet":
-        if not isinstance(channel, Channel):
-            raise TypeError(f"unsupported channel type: {type(channel)!r}")
         return cls(channel)
 
     @property

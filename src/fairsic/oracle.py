@@ -96,8 +96,6 @@ def enumerate_orders(
 def brute_force_maxmin(
     ranks: RankFunctionSet,
     budget: EnumerationBudget | None = None,
-    *,
-    clamp_tol: float = DEFAULT_AXIOM_TOL,
 ) -> BruteForceResult:
     """True max-min optimum over every joint decoding profile.
 
@@ -123,10 +121,7 @@ def brute_force_maxmin(
             f"{budget.max_joint_configs}"
         )
     config_min = [
-        [
-            min(receiver_rate_bounds(ranks, order, clamp_tol=clamp_tol).values())
-            for order in orders
-        ]
+        [min(receiver_rate_bounds(ranks, order).values()) for order in orders]
         for orders in per_receiver
     ]
     threshold = min(max(caps) for caps in config_min)

@@ -85,14 +85,12 @@ def rate_vector(
     return RateVector(tuple(best))
 
 
-def min_rate(
-    rates: RateVector, *, tie_tol: float = DEFAULT_EQ_TOL
-) -> tuple[float, frozenset[int]]:
-    """Minimum rate and every user attaining it within ``tie_tol``."""
+def min_rate(rates: RateVector) -> tuple[float, frozenset[int]]:
+    """Minimum rate and every user attaining it within ``DEFAULT_EQ_TOL``."""
     if len(rates) == 0:
         raise ValueError("rate vector is empty")
     value = min(rates.rates)
     users = frozenset(
-        k for k, r in enumerate(rates.rates, start=1) if r <= value + tie_tol
+        k for k, r in enumerate(rates.rates, start=1) if r <= value + DEFAULT_EQ_TOL
     )
     return value, users

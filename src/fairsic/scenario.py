@@ -14,19 +14,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .channels import Channel, DmcChannel, GaussianChannel, TabulatedRanks
+from .channels import Channel, DmcChannel, GaussianChannel, TabulatedRanks, mask_users
 from .errors import FairsicError, ScenarioParseError
-
-_GAUSSIAN_FIELDS = {"kind", "K", "gains", "powers", "noise_vars"}
-_DMC_FIELDS = {
-    "kind",
-    "K",
-    "input_alphabet_sizes",
-    "output_alphabet_sizes",
-    "input_pmfs",
-    "transitions",
-}
-_TABULATED_FIELDS = {"kind", "K", "tables"}
 
 
 def _check_fields(doc: Mapping[str, Any], expected: set[str]) -> None:
@@ -46,136 +35,120 @@ def _user_count(doc: Mapping[str, Any]) -> int:
     return num_users
 
 
-def _number_vector(value: Any, name: str, length: int) -> list[float]:
-    if not isinstance(value, list) or len(value) != length:
-        raise ScenarioParseError(f"field '{name}' must be a list of {length} numbers")
-    out = []
-    for entry in value:
-        if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-            raise ScenarioParseError(f"field '{name}' must contain numbers only")
-        out.append(float(entry))
-    return out
+def _numbers(value: Any, name: str, *, rows: bool = False) -> np.ndarray:
+    """Type a JSON list of numbers, or with ``rows`` a list of equal-length
+    rows of numbers, as a float array; errors name the field.
+
+    Each call returns an array, so the row lists it builds are freed at once
+    instead of aging into older garbage-collector generations.  Every other
+    shape check belongs to the channel constructor.
+    """
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"field '{name}' must hold lists of numbers")
+    typed = []
+    try:
+        for row in value if rows else [value]:
+            if not isinstance(row, list):
+                raise ScenarioParseError(f"field '{name}' must hold lists of numbers")
+            floats = []
+            for entry in row:
+                if not isinstance(entry, (int, float)) or isinstance(entry, bool):
+                    raise ScenarioParseError(f"field '{name}' must contain numbers only")
+                floats.append(float(entry))
+            typed.append(floats)
+    except OverflowError:
+        raise ScenarioParseError(
+            f"field '{name}' holds an integer too large for a float"
+        ) from None
+    if len({len(row) for row in typed}) > 1:
+        raise ScenarioParseError(f"field '{name}' rows must all have the same length")
+    return np.array(typed if rows else typed[0])
 
 
 def _parse_gaussian(doc: Mapping[str, Any]) -> GaussianChannel:
-    _check_fields(doc, _GAUSSIAN_FIELDS)
-    num_users = _user_count(doc)
-    gains = doc["gains"]
-    if not isinstance(gains, list) or len(gains) != num_users:
-        raise ScenarioParseError(
-            f"field 'gains' must be a {num_users}x{num_users} matrix (row-major rows)"
-        )
-    rows = [_number_vector(row, "gains", num_users) for row in gains]
-    powers = _number_vector(doc["powers"], "powers", num_users)
-    noise = _number_vector(doc["noise_vars"], "noise_vars", num_users)
-    try:
-        return GaussianChannel(np.array(rows), np.array(powers), np.array(noise))
-    except FairsicError as exc:
-        raise ScenarioParseError(f"invalid gaussian scenario: {exc}") from exc
+    return GaussianChannel(
+        _numbers(doc["gains"], "gains", rows=True),
+        _numbers(doc["powers"], "powers"),
+        _numbers(doc["noise_vars"], "noise_vars"),
+    )
 
 
 def _parse_dmc(doc: Mapping[str, Any]) -> DmcChannel:
-    _check_fields(doc, _DMC_FIELDS)
-    num_users = _user_count(doc)
-    in_sizes = doc["input_alphabet_sizes"]
-    out_sizes = doc["output_alphabet_sizes"]
-    for name, sizes in (
-        ("input_alphabet_sizes", in_sizes),
-        ("output_alphabet_sizes", out_sizes),
-    ):
-        if (
-            not isinstance(sizes, list)
-            or len(sizes) != num_users
-            or not all(type(s) is int and s >= 1 for s in sizes)
-        ):
+    channel = DmcChannel(
+        tuple(_numbers(pmf, "input_pmfs") for pmf in doc["input_pmfs"]),
+        tuple(_numbers(table, "transitions", rows=True) for table in doc["transitions"]),
+    )
+    # The header sizes are redundant with the tables; they must agree.
+    for name in ("input_alphabet_sizes", "output_alphabet_sizes"):
+        actual = list(getattr(channel, name))
+        if not all(type(size) is int for size in doc[name]) or doc[name] != actual:
             raise ScenarioParseError(
-                f"field '{name}' must list {num_users} integers >= 1"
+                f"field '{name}' must be {actual} to match input_pmfs and transitions"
             )
-    pmf_rows = doc["input_pmfs"]
-    if not isinstance(pmf_rows, list) or len(pmf_rows) != num_users:
-        raise ScenarioParseError(f"field 'input_pmfs' must list {num_users} pmfs")
-    pmfs = [
-        np.array(_number_vector(row, "input_pmfs", in_sizes[k]))
-        for k, row in enumerate(pmf_rows)
-    ]
-    joint = 1
-    for size in in_sizes:
-        joint *= size
-    tables = doc["transitions"]
-    if not isinstance(tables, list) or len(tables) != num_users:
-        raise ScenarioParseError(
-            f"field 'transitions' must hold one table per receiver ({num_users})"
-        )
-    parsed = []
-    for j, table in enumerate(tables, start=1):
-        if not isinstance(table, list) or len(table) != joint:
-            raise ScenarioParseError(
-                f"field 'transitions' receiver {j}: expected {joint} rows "
-                f"(row-major over the joint input tuple)"
-            )
-        parsed.append(
-            np.array(
-                [_number_vector(row, "transitions", out_sizes[j - 1]) for row in table]
-            )
-        )
-    try:
-        return DmcChannel(tuple(pmfs), tuple(parsed))
-    except FairsicError as exc:
-        raise ScenarioParseError(f"invalid dmc scenario: {exc}") from exc
+    return channel
 
 
 def _parse_tabulated(doc: Mapping[str, Any]) -> TabulatedRanks:
-    _check_fields(doc, _TABULATED_FIELDS)
-    num_users = _user_count(doc)
-    tables = doc["tables"]
-    if not isinstance(tables, list) or len(tables) != num_users:
-        raise ScenarioParseError(
-            f"field 'tables' must hold one subset table per receiver ({num_users})"
-        )
     per_receiver = []
-    for j, entries in enumerate(tables, start=1):
-        if not isinstance(entries, list):
-            raise ScenarioParseError(f"field 'tables' receiver {j} must be a list")
-        pairs = []
-        for entry in entries:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], list)
-                or not isinstance(entry[1], (int, float))
-                or isinstance(entry[1], bool)
-            ):
-                raise ScenarioParseError(
-                    f"field 'tables' receiver {j}: entries must be "
-                    f"[[sorted user indices], value] pairs"
-                )
-            users = entry[0]
+    for j, entries in enumerate(doc["tables"], start=1):
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)
+            for entry in entries
+        ):
+            raise ScenarioParseError(
+                f"field 'tables' receiver {j}: entries must be "
+                f"[[sorted user indices], value] pairs"
+            )
+        subsets = [users for users, _ in entries]
+        for users in subsets:
             if not all(type(u) is int for u in users) or users != sorted(users):
                 raise ScenarioParseError(
                     f"field 'tables' receiver {j}: subsets must be sorted "
                     f"integer lists, got {users}"
                 )
-            pairs.append((users, float(entry[1])))
-        per_receiver.append(pairs)
-    try:
-        return TabulatedRanks.from_subsets(num_users, per_receiver)
-    except (FairsicError, IndexError) as exc:
-        raise ScenarioParseError(f"invalid tabulated scenario: {exc}") from exc
+        values = _numbers([value for _, value in entries], "tables").tolist()
+        per_receiver.append(zip(subsets, values))
+    return TabulatedRanks.from_subsets(doc["K"], per_receiver)
+
+
+# kind -> (parser, the per-user fields that sit beside "kind" and "K")
+_KINDS = {
+    "gaussian": (_parse_gaussian, ("gains", "powers", "noise_vars")),
+    "dmc": (
+        _parse_dmc,
+        ("input_alphabet_sizes", "output_alphabet_sizes", "input_pmfs", "transitions"),
+    ),
+    "tabulated": (_parse_tabulated, ("tables",)),
+}
 
 
 def parse_scenario(doc: Mapping[str, Any]) -> Channel:
+    """Type a scenario document and build its channel.
+
+    The channel constructor owns every shape and value check; its errors
+    come back as ``ScenarioParseError``.
+    """
     if not isinstance(doc, Mapping):
         raise ScenarioParseError("scenario document must be a JSON object")
     kind = doc.get("kind")
-    if kind == "gaussian":
-        return _parse_gaussian(doc)
-    if kind == "dmc":
-        return _parse_dmc(doc)
-    if kind == "tabulated":
-        return _parse_tabulated(doc)
-    raise ScenarioParseError(
-        f"field 'kind' must be one of gaussian, dmc, tabulated; got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ScenarioParseError(
+            f"field 'kind' must be one of gaussian, dmc, tabulated; got {kind!r}"
+        )
+    parse, per_user = _KINDS[kind]
+    _check_fields(doc, {"kind", "K", *per_user})
+    num_users = _user_count(doc)
+    for name in per_user:
+        if not isinstance(doc[name], list) or len(doc[name]) != num_users:
+            raise ScenarioParseError(
+                f"field '{name}' must be a list of K = {num_users} entries, one per user"
+            )
+    try:
+        return parse(doc)
+    except ScenarioParseError:
+        raise
+    except (FairsicError, IndexError) as exc:
+        raise ScenarioParseError(f"invalid {kind} scenario: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Channel:
@@ -217,8 +190,7 @@ def scenario_doc(channel: Channel) -> dict[str, Any]:
         for table in channel.tables:
             entries = []
             for mask in sorted(table):
-                users = [k + 1 for k in range(channel.num_users) if mask >> k & 1]
-                entries.append([users, float(table[mask])])
+                entries.append([sorted(mask_users(mask)), float(table[mask])])
             tables.append(entries)
         return {"kind": "tabulated", "K": channel.num_users, "tables": tables}
     raise TypeError(f"unsupported channel type: {type(channel)!r}")

@@ -314,6 +314,25 @@ class TestTabulated:
         with pytest.raises(ValidationError):
             tabulated_from_values([(0.0, -1.0, 0.2, 0.3), (0.0, 0.1, 0.2, 0.3)])
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_direct_construction_checks_values(self, bad):
+        good = {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3}
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            TabulatedRanks(2, ({**good, 3: bad}, good))
+
+    def test_duplicate_subset_rejected(self):
+        entries = [([], 0.0), ([1], 0.5), ([2], 0.7), ([1, 2], 1.0), ([1], 0.6)]
+        with pytest.raises(ValidationError, match=r"subset \[1\] twice"):
+            TabulatedRanks.from_subsets(2, [entries, entries[:4]])
+
+    def test_caller_dicts_stay_detached(self):
+        tables = ({0: 0.0, 1: 0.5, 2: 0.7, 3: 1.5}, {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3})
+        ranks = RankFunctionSet.for_channel(TabulatedRanks(2, tables))
+        assert rank_value(ranks, 1, {1, 2}) == 1.5  # warms the cache
+        tables[0][3] = 9.0
+        assert ranks.backend.tables[0][3] == 1.5
+        assert rank_value(ranks, 1, {1, 2}) == 1.5
+
 
 class TestRankDispatch:
     def test_gaussian_dispatch_matches_direct(self, two_user_channel):
@@ -376,6 +395,11 @@ class TestSingleValidationPoint:
 def test_for_channel_rejects_other_types():
     with pytest.raises(TypeError):
         RankFunctionSet.for_channel(object())
+
+
+def test_direct_construction_rejects_other_types():
+    with pytest.raises(TypeError):
+        RankFunctionSet(object())
 
 
 @pytest.mark.parametrize("kind, channel", THREE_BACKENDS)

@@ -14,6 +14,7 @@ from fairsic import (
     save_scenario,
     scenario_doc,
 )
+from fairsic.cli import main
 
 GAUSSIAN_DOC = {
     "kind": "gaussian",
@@ -143,6 +144,78 @@ def test_boolean_in_integer_field_rejected(field):
     # The same document with 1 in place of true parses.
     fixed = json.loads(json.dumps(BOOLEAN_INTEGER_DOCS[field]).replace("true", "1"))
     parse_scenario(fixed)
+
+
+DMC_DOC = {
+    "kind": "dmc",
+    "K": 2,
+    "input_alphabet_sizes": [2, 2],
+    "output_alphabet_sizes": [2, 2],
+    "input_pmfs": [[0.5, 0.5], [0.5, 0.5]],
+    "transitions": [
+        [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+    ],
+}
+TABULATED_DOC = {
+    "kind": "tabulated",
+    "K": 2,
+    "tables": [
+        [[[], 0.0], [[1], 0.5], [[2], 0.7], [[1, 2], 1.0]],
+        [[[], 0.0], [[1], 0.1], [[2], 0.2], [[1, 2], 0.3]],
+    ],
+}
+TOO_BIG = 10**400  # a JSON integer no float can hold
+HALF_ROWS = [[0.5, 0.5]] * 4
+
+
+def _receiver_1_table(entries):
+    return dict(TABULATED_DOC, tables=[entries, TABULATED_DOC["tables"][1]])
+
+
+# name -> (document, the field its error message must name)
+MALFORMED_DOCS = {
+    "ragged gains": (dict(GAUSSIAN_DOC, gains=[[1.0, 2.0], [0.1]]), "gains"),
+    "true in transitions": (
+        dict(DMC_DOC, transitions=[[[True, 0.0]] + HALF_ROWS[1:], HALF_ROWS]),
+        "transitions",
+    ),
+    "NaN tabulated value": (
+        _receiver_1_table([[[], 0.0], [[1], 0.5], [[2], 0.7], [[1, 2], float("nan")]]),
+        "tables",
+    ),
+    "output sizes disagree with tables": (
+        dict(DMC_DOC, output_alphabet_sizes=[2, 3]),
+        "output_alphabet_sizes",
+    ),
+    "duplicate subset": (
+        _receiver_1_table(TABULATED_DOC["tables"][0] + [[[1], 0.6]]),
+        "tables",
+    ),
+    "huge integer power": (dict(GAUSSIAN_DOC, powers=[1.0, TOO_BIG]), "powers"),
+    "huge integer transition": (
+        dict(DMC_DOC, transitions=[[[TOO_BIG, 0.0]] + HALF_ROWS[1:], HALF_ROWS]),
+        "transitions",
+    ),
+    "huge integer tabulated value": (
+        _receiver_1_table([[[], 0.0], [[1], 0.5], [[2], 0.7], [[1, 2], TOO_BIG]]),
+        "tables",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+def test_malformed_document_names_field(name, tmp_path, capsys):
+    doc, field = MALFORMED_DOCS[name]
+    with pytest.raises(ScenarioParseError, match=field):
+        parse_scenario(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN is written as JSON NaN
+    assert main(["solve", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestFiles:
