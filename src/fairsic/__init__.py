@@ -58,7 +58,7 @@ from .ordering import (
     render_order,
     undecoded_prefix,
 )
-from .rates import RateVector, min_rate, rate_vector, receiver_rate_bounds
+from .rates import min_rate, rate_vector, receiver_rate_bounds
 from .scenario import (
     dump_scenario,
     load_scenario,
@@ -83,7 +83,6 @@ __all__ = [
     "IncompleteTableError",
     "NonRankInputError",
     "RankFunctionSet",
-    "RateVector",
     "ReceiverAxiomReport",
     "ScenarioParseError",
     "SolveReport",

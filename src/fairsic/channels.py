@@ -16,6 +16,7 @@ Users and receivers are 1-based throughout (user k, receiver j, both in
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,24 +34,19 @@ DEFAULT_EQ_TOL = 1e-12
 DEFAULT_DMC_TERM_CAP = 1 << 24
 
 
-def full_user_set(num_users: int) -> frozenset[int]:
-    return frozenset(range(1, num_users + 1))
-
-
 def check_receiver(num_users: int, receiver: int) -> None:
     if not 1 <= receiver <= num_users:
         raise IndexError(f"receiver {receiver} out of range 1..{num_users}")
 
 
-def check_users(num_users: int, users: Iterable[int]) -> tuple[frozenset[int], int]:
-    """Range-check a user set; return it and its bitmask (bit k-1 set: user k present)."""
-    members = frozenset(users)
+def check_users(num_users: int, users: Iterable[int]) -> int:
+    """Range-check a user set; return its bitmask (bit k-1 set: user k present)."""
     mask = 0
-    for user in members:
+    for user in users:
         if not 1 <= user <= num_users:
             raise IndexError(f"user {user} out of range 1..{num_users}")
         mask |= 1 << (user - 1)
-    return members, mask
+    return mask
 
 
 def mask_users(mask: int) -> frozenset[int]:
@@ -122,32 +118,46 @@ class GaussianChannel:
             raise ValidationError("gains and powers must be nonnegative")
         if np.any(noise_vars <= 0):
             raise ValidationError("noise_vars must be strictly positive")
+        with np.errstate(over="ignore"):
+            received = _freeze(gains * powers[np.newaxis, :])
+        # The terms are nonnegative, so the full set bounds every subset sum.
+        for j, (row, noise) in enumerate(zip(received.tolist(), noise_vars.tolist()), start=1):
+            try:
+                total = math.fsum(row)
+            except OverflowError:
+                total = math.inf
+            if not math.isfinite(total / noise):
+                raise ValidationError(
+                    f"gains times powers overflow at receiver {j}: each received power, "
+                    f"their sum and that sum over the noise variance must be finite"
+                )
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "noise_vars", noise_vars)
-        object.__setattr__(self, "received_powers", _freeze(gains * powers[np.newaxis, :]))
+        object.__setattr__(self, "received_powers", received)
 
     @cached_property
     def num_users(self) -> int:
         return self.powers.shape[0]
 
-    def _rank(self, receiver: int, members: frozenset[int], mask: int) -> float:
-        if not members:
+    def _rank(self, receiver: int, mask: int) -> float:
+        if not mask:
             return 0.0
-        row = self.received_powers[receiver - 1]
-        interference = math.fsum(float(row[user - 1]) for user in sorted(members))
+        row = self.received_powers[receiver - 1].tolist()
+        # Bit k-1 of the mask, read from the lowest: user k's received power.
+        interference = math.fsum(p for p, bit in zip(row, bin(mask)[:1:-1]) if bit == "1")
         return math.log2(1.0 + interference / float(self.noise_vars[receiver - 1]))
 
 
 def gaussian_rank_value(channel: GaussianChannel, receiver: int, users: Iterable[int]) -> float:
     """Rank value log2(1 + sum of received powers over the set / noise).
 
-    The subset sum runs over ascending user index via ``math.fsum`` so that
-    identical sets always produce bit-identical values and sets with equal
-    received-power multisets tie exactly.
+    The subset sum is ``math.fsum``, which is correctly rounded and so
+    independent of term order: identical sets always produce bit-identical
+    values and sets with equal received-power multisets tie exactly.
     """
     check_receiver(channel.num_users, receiver)
-    return channel._rank(receiver, *check_users(channel.num_users, users))
+    return channel._rank(receiver, check_users(channel.num_users, users))
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,8 @@ class DmcChannel:
         for j, table in enumerate(tables, start=1):
             if table.ndim != 2 or table.shape[0] != joint:
                 raise ValidationError(
-                    f"transitions of receiver {j} must be a table of {joint} rows"
+                    f"transitions of receiver {j} must be a table of {joint} rows, one per "
+                    f"joint input tuple of input pmfs of sizes {[p.shape[0] for p in pmfs]}"
                 )
             _check_pmfs(table, f"transition row {{}} of receiver {j}")
         object.__setattr__(self, "input_pmfs", pmfs)
@@ -202,14 +213,8 @@ class DmcChannel:
     def output_alphabet_sizes(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.transitions)
 
-    def _rank(
-        self,
-        receiver: int,
-        members: frozenset[int],
-        mask: int,
-        term_cap: int = DEFAULT_DMC_TERM_CAP,
-    ) -> float:
-        if not members:
+    def _rank(self, receiver: int, mask: int, term_cap: int = DEFAULT_DMC_TERM_CAP) -> float:
+        if not mask:
             return 0.0
         sizes = self.input_alphabet_sizes
         out_size = self.output_alphabet_sizes[receiver - 1]
@@ -219,8 +224,8 @@ class DmcChannel:
                 f"rank evaluation needs {joint} joint tuples x "
                 f"{out_size} outputs, cap is {term_cap}"
             )
-        inside = sorted(k - 1 for k in members)
-        complement = [k for k in range(self.num_users) if k + 1 not in members]
+        inside = [k for k in range(self.num_users) if mask >> k & 1]
+        complement = [k for k in range(self.num_users) if not mask >> k & 1]
         prob = self.joint_input_pmf[..., np.newaxis]
         lik = self.transitions[receiver - 1].reshape(sizes + (out_size,))
         mass = prob * lik  # p(x, y)
@@ -229,7 +234,7 @@ class DmcChannel:
         # and added one slice after another, as a tuple-by-tuple sum would.
         stacked = np.moveaxis(mass, inside, range(len(inside)))
         stacked = stacked.reshape((-1,) + stacked.shape[len(inside):])
-        kept_shape = tuple(1 if k + 1 in members else size for k, size in enumerate(sizes))
+        kept_shape = tuple(1 if mask >> k & 1 else size for k, size in enumerate(sizes))
         marginal = np.add.accumulate(stacked, axis=0)[-1].reshape(kept_shape + (out_size,))
         comp_mass = _product_pmf(self.input_pmfs[k] for k in complement)
         comp_mass = comp_mass.reshape(kept_shape + (1,))
@@ -265,7 +270,7 @@ def dmc_rank_value(
     added by ``math.fsum``.
     """
     check_receiver(channel.num_users, receiver)
-    return channel._rank(receiver, *check_users(channel.num_users, users), term_cap)
+    return channel._rank(receiver, check_users(channel.num_users, users), term_cap)
 
 
 @dataclass(frozen=True)
@@ -273,9 +278,9 @@ class TabulatedRanks:
     """Explicit per-receiver tables mapping every user subset to a value.
 
     Construction requires a complete table (all 2^K subsets per receiver)
-    of finite, nonnegative values and keeps its own copy; rank-axiom
-    compliance is *not* checked here, so violating tables can be built on
-    purpose and fed to the axiom validator.
+    of finite, nonnegative real numbers, bools refused, and keeps its own
+    copy; rank-axiom compliance is *not* checked here, so violating tables
+    can be built on purpose and fed to the axiom validator.
     """
 
     kind: ClassVar[str] = "tabulated"
@@ -293,10 +298,10 @@ class TabulatedRanks:
         for j, entries in enumerate(tables, start=1):
             table: dict[int, float] = {}
             for users, value in entries:
-                members, mask = check_users(num_users, users)
+                mask = check_users(num_users, users)
                 if mask in table:
                     raise ValidationError(
-                        f"tables of receiver {j} list subset {sorted(members)} twice"
+                        f"tables of receiver {j} list subset {sorted(mask_users(mask))} twice"
                     )
                 table[mask] = value
             packed.append(table)
@@ -317,8 +322,14 @@ class TabulatedRanks:
                     f"missing masks {missing[:4]}{'...' if len(missing) > 4 else ''}"
                 )
             # A copy: later writes to the caller's dict change no rank value.
-            values = {mask: float(value) for mask, value in table.items()}
-            for mask, value in values.items():
+            values = {}
+            for mask, value in table.items():
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValidationError(
+                        f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
+                        f"must be a real number, got {value!r}"
+                    )
+                value = values[mask] = float(value)
                 if not math.isfinite(value) or value < 0:
                     raise ValidationError(
                         f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
@@ -327,7 +338,7 @@ class TabulatedRanks:
             owned.append(values)
         object.__setattr__(self, "tables", tuple(owned))
 
-    def _rank(self, receiver: int, members: frozenset[int], mask: int) -> float:
+    def _rank(self, receiver: int, mask: int) -> float:
         return self.tables[receiver - 1][mask]
 
 
@@ -340,7 +351,7 @@ class RankFunctionSet:
 
     The backend is the single owner of the backend kind and the user
     count: ``kind`` and ``num_users`` read them from it, and its
-    ``_rank(receiver, members, mask)`` evaluates a subset that
+    ``_rank(receiver, mask)`` evaluates a subset bitmask that
     ``check_users`` has range-checked once.  Evaluation is pure; a private
     memo table keyed by (receiver, subset mask) caches values, which is
     safe because backends are immutable.  The rank-axiom verdict per
@@ -373,9 +384,9 @@ def rank_value(ranks: RankFunctionSet, receiver: int, users: Iterable[int]) -> f
     backend = ranks.backend
     num_users = backend.num_users
     check_receiver(num_users, receiver)
-    members, mask = check_users(num_users, users)
+    mask = check_users(num_users, users)
     key = (receiver, mask)
     value = ranks._cache.get(key)
     if value is None:
-        value = ranks._cache[key] = backend._rank(receiver, members, mask)
+        value = ranks._cache[key] = backend._rank(receiver, mask)
     return value

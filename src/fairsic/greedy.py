@@ -3,9 +3,10 @@
 Each receiver is solved independently: starting from the full user set,
 repeatedly hand the next decode slot to the user whose removal leaves the
 cheapest remaining set under the receiver's rank function, and stop once
-the receiver's own user is selected.  For Gaussian channels the same
-orders fall out of sorting received powers, which is implemented as a
-separate fast path and tested for exact agreement.
+the receiver's own user is selected.  For Gaussian channels sorting
+received powers is a separate fast path that usually gives the same
+orders; where two removals leave exactly tied rank values although the
+powers differ, the two orders can differ, and the greedy is the contract.
 
 Argmin ties are broken by exact float equality: prefer users other than
 the receiver's own (so ties are decoded rather than skipped), then the
@@ -25,18 +26,17 @@ from .channels import (
     GaussianChannel,
     RankFunctionSet,
     check_receiver,
-    full_user_set,
     rank_value,
 )
 from .errors import NonRankInputError
 from .ordering import DecodingOrder, DecodingProfile, decoded_set, decoder_set
-from .rates import RateVector, min_rate, rate_vector
+from .rates import min_rate, rate_vector
 
 
 @dataclass(frozen=True)
 class SolveReport:
     profile: DecodingProfile
-    rates: RateVector
+    rates: tuple[float, ...]
     min_rate: float
     bottleneck_users: frozenset[int]
     decoded_sets: tuple[frozenset[int], ...]
@@ -80,7 +80,7 @@ def greedy_order(
     """
     check_receiver(ranks.num_users, receiver)
     ensure_rank_input(ranks, tol=tol, force=force)
-    remaining = set(full_user_set(ranks.num_users))
+    remaining = set(range(1, ranks.num_users + 1))
     sequence: list[int] = []  # first decoded first
     while True:
         best_key = None
@@ -138,8 +138,10 @@ def gaussian_fast_order(channel: GaussianChannel, receiver: int) -> DecodingOrde
 
     Decode every user whose received power at this receiver is at least
     the designated user's, strongest first; ties go to the smaller index
-    with the designated user last within its tie class.  Agrees exactly
-    with ``greedy_order`` on the same channel.
+    with the designated user last within its tie class.  Agrees with
+    ``greedy_order`` except where two removals leave exactly tied rank
+    values although the powers differ: the greedy breaks that tie by
+    index, this sort by power.  The greedy order is the contract.
     """
     check_receiver(channel.num_users, receiver)
     row = channel.received_powers[receiver - 1]
@@ -151,7 +153,7 @@ def gaussian_fast_order(channel: GaussianChannel, receiver: int) -> DecodingOrde
     return DecodingOrder.from_decode_sequence(receiver, decoded, channel.num_users)
 
 
-def gaussian_rate_formula(channel: GaussianChannel) -> RateVector:
+def gaussian_rate_formula(channel: GaussianChannel) -> tuple[float, ...]:
     """Closed-form rates under the fast-path orders.
 
     Each decoder caps a decoded user at log2(1 + received power over noise
@@ -167,9 +169,9 @@ def gaussian_rate_formula(channel: GaussianChannel) -> RateVector:
         noise = float(channel.noise_vars[receiver - 1])
         for position in range(order.decoded_from, num_users + 1):
             user = order.perm[position - 1]
-            later = sorted(order.perm[: position - 1])
+            later = order.perm[: position - 1]  # fsum is exact: term order is moot
             interference = math.fsum(float(row[i - 1]) for i in later)
             cap = math.log2(1.0 + float(row[user - 1]) / (noise + interference))
             if cap < best[user - 1]:
                 best[user - 1] = cap
-    return RateVector(tuple(best))
+    return tuple(best)

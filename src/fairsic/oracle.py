@@ -30,12 +30,11 @@ from .rates import receiver_rate_bounds
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    max_joint_configs: int = 10_000_000
     K_limit: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_joint_configs < 1 or self.K_limit < 1:
-            raise ValueError("budget limits must be positive")
+        if self.K_limit < 1:
+            raise ValueError("K_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,6 @@ def brute_force_maxmin(
         for j in range(1, num_users + 1)
     ]
     total = math.prod(len(orders) for orders in per_receiver)
-    if total > budget.max_joint_configs:
-        raise CapacityError(
-            f"{total} joint profiles exceed the budget of "
-            f"{budget.max_joint_configs}"
-        )
     config_min = [
         [min(receiver_rate_bounds(ranks, order).values()) for order in orders]
         for orders in per_receiver

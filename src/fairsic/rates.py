@@ -9,30 +9,10 @@ receivers that decode it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channels import DEFAULT_AXIOM_TOL, DEFAULT_EQ_TOL, RankFunctionSet, rank_value
 from .errors import NonRankInputError
 from .ordering import DecodingOrder, DecodingProfile
-
-
-@dataclass(frozen=True)
-class RateVector:
-    """Per-user rates in bits per channel use, entry k-1 for user k."""
-
-    rates: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-
-    def __len__(self) -> int:
-        return len(self.rates)
-
-    def __iter__(self):
-        return iter(self.rates)
-
-    def __getitem__(self, index: int) -> float:
-        return self.rates[index]
 
 
 def _clamped(diff: float, clamp_tol: float) -> float:
@@ -75,22 +55,22 @@ def rate_vector(
     profile: DecodingProfile,
     *,
     clamp_tol: float = DEFAULT_AXIOM_TOL,
-) -> RateVector:
-    """Achieved rates of all users under the profile."""
+) -> tuple[float, ...]:
+    """Achieved rates in bits per channel use, entry k-1 for user k."""
     best = [math.inf] * profile.num_users
     for order in profile.orders:
         for user, cap in receiver_rate_bounds(ranks, order, clamp_tol=clamp_tol).items():
             if cap < best[user - 1]:
                 best[user - 1] = cap
-    return RateVector(tuple(best))
+    return tuple(best)
 
 
-def min_rate(rates: RateVector) -> tuple[float, frozenset[int]]:
+def min_rate(rates: tuple[float, ...]) -> tuple[float, frozenset[int]]:
     """Minimum rate and every user attaining it within ``DEFAULT_EQ_TOL``."""
     if len(rates) == 0:
         raise ValueError("rate vector is empty")
-    value = min(rates.rates)
+    value = min(rates)
     users = frozenset(
-        k for k, r in enumerate(rates.rates, start=1) if r <= value + DEFAULT_EQ_TOL
+        k for k, r in enumerate(rates, start=1) if r <= value + DEFAULT_EQ_TOL
     )
     return value, users

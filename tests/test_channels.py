@@ -320,6 +320,12 @@ class TestTabulated:
         with pytest.raises(ValidationError, match="finite and nonnegative"):
             TabulatedRanks(2, ({**good, 3: bad}, good))
 
+    @pytest.mark.parametrize("bad", ["0", True, None, 1j])
+    def test_direct_construction_refuses_non_numbers(self, bad):
+        good = {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3}
+        with pytest.raises(ValidationError, match=r"for \[1\] must be a real number"):
+            TabulatedRanks(2, ({**good, 1: bad}, good))
+
     def test_duplicate_subset_rejected(self):
         entries = [([], 0.0), ([1], 0.5), ([2], 0.7), ([1, 2], 1.0), ([1], 0.6)]
         with pytest.raises(ValidationError, match=r"subset \[1\] twice"):
@@ -419,7 +425,7 @@ def test_layers_call_rank_value_by_module_name(kind, channel, monkeypatch):
         def counting(ranks, receiver, users, *, name=module.__name__, inner=module.rank_value):
             users = frozenset(users)
             calls[name] = calls.get(name, 0) + 1
-            seen.add((receiver, check_users(ranks.num_users, users)[1]))
+            seen.add((receiver, check_users(ranks.num_users, users)))
             return inner(ranks, receiver, users)
 
         monkeypatch.setattr(module, "rank_value", counting)
@@ -437,4 +443,4 @@ def test_layers_call_rank_value_by_module_name(kind, channel, monkeypatch):
 
 def test_mask_round_trip():
     for mask in range(16):
-        assert check_users(4, mask_users(mask)) == (mask_users(mask), mask)
+        assert check_users(4, mask_users(mask)) == mask

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import fairsic.greedy
 from fairsic import (
+    DecodingProfile,
     GaussianChannel,
     NonRankInputError,
     RankFunctionSet,
@@ -181,6 +184,23 @@ class TestGaussianFastPath:
                 assert gaussian_fast_order(channel, receiver) == greedy_order(
                     ranks, receiver
                 )
+
+    def test_exact_rank_tie_between_distinct_powers(self):
+        """Removing user 2 or 3 leaves the same rank value although user 3 is
+        stronger: the greedy takes the smaller index, the fast path the
+        stronger user, and the rates agree."""
+        strong = 1e20
+        stronger = math.nextafter(strong, math.inf)
+        channel = GaussianChannel(
+            np.array([[0.5, strong, stronger], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+            np.ones(3),
+            np.ones(3),
+        )
+        ranks = RankFunctionSet.for_channel(channel)
+        assert decode_sequence(greedy_order(ranks, 1)) == (2, 3, 1)
+        assert decode_sequence(gaussian_fast_order(channel, 1)) == (3, 2, 1)
+        fast = DecodingProfile(tuple(gaussian_fast_order(channel, j) for j in (1, 2, 3)))
+        assert rate_vector(ranks, fast) == greedy_profile(ranks).rates
 
     def test_rate_formula_matches_rate_vector(self):
         for seed in range(30):

@@ -142,9 +142,13 @@ class TestBruteForce:
             assert result.best_profile == best_profile
             assert result.num_configs == count
 
-    def test_joint_budget_guard(self, two_user_ranks):
-        with pytest.raises(CapacityError):
-            brute_force_maxmin(two_user_ranks, EnumerationBudget(max_joint_configs=3))
+    def test_k_limit_is_the_only_budget(self):
+        """Raising ``K_limit`` is enough: the joint profiles are never walked."""
+        channel = random_gaussian_channel(5, rng_from_seed(0))
+        ranks = RankFunctionSet.for_channel(channel)
+        result = brute_force_maxmin(ranks, EnumerationBudget(K_limit=5))
+        assert result.opt_min_rate == pytest.approx(greedy_profile(ranks).min_rate, abs=1e-9)
+        assert result.num_configs == count_orders(5) ** 5
 
     def test_repeatable(self, two_user_ranks):
         first = brute_force_maxmin(two_user_ranks)

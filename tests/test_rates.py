@@ -7,8 +7,8 @@ from fairsic import (
     DecodingProfile,
     NonRankInputError,
     RankFunctionSet,
-    RateVector,
     decoded_set,
+    greedy_profile,
     min_rate,
     random_gaussian_channel,
     rank_value,
@@ -43,28 +43,35 @@ class TestFixtureRates:
     def test_output_length(self, two_user_ranks):
         profile = DecodingProfile.from_decode_sequences(GREEDY_PROFILE)
         assert len(rate_vector(two_user_ranks, profile)) == 2
+        # Both rate paths return plain tuples of Python floats.
+        for rates in (
+            rate_vector(two_user_ranks, profile),
+            greedy_profile(two_user_ranks).rates,
+        ):
+            assert type(rates) is tuple
+            assert all(type(rate) is float for rate in rates)
 
 
 class TestMinRate:
     def test_fixture(self):
-        value, users = min_rate(RateVector((1.0, LOG2_21_11)))
+        value, users = min_rate((1.0, LOG2_21_11))
         assert value == LOG2_21_11
         assert users == {2}
 
     def test_tie_returns_all(self):
-        value, users = min_rate(RateVector((0.5, 0.5)))
+        value, users = min_rate((0.5, 0.5))
         assert (value, users) == (0.5, {1, 2})
 
     def test_near_tie_within_tolerance(self):
-        value, users = min_rate(RateVector((0.5, 0.5 + 5e-13)))
+        value, users = min_rate((0.5, 0.5 + 5e-13))
         assert users == {1, 2}
 
     def test_singleton(self):
-        assert min_rate(RateVector((0.7,))) == (0.7, {1})
+        assert min_rate((0.7,)) == (0.7, {1})
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
-            min_rate(RateVector(()))
+            min_rate(())
 
 
 def _random_profile(ranks, rng):

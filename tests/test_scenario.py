@@ -173,7 +173,7 @@ def _receiver_1_table(entries):
     return dict(TABULATED_DOC, tables=[entries, TABULATED_DOC["tables"][1]])
 
 
-# name -> (document, the field its error message must name)
+# name -> (document, the field or fault its error message must name)
 MALFORMED_DOCS = {
     "ragged gains": (dict(GAUSSIAN_DOC, gains=[[1.0, 2.0], [0.1]]), "gains"),
     "true in transitions": (
@@ -193,6 +193,23 @@ MALFORMED_DOCS = {
         "tables",
     ),
     "huge integer power": (dict(GAUSSIAN_DOC, powers=[1.0, TOO_BIG]), "powers"),
+    "overflowing received-power sum": (
+        dict(GAUSSIAN_DOC, gains=[[1e308, 1e308], [1.0, 1.0]]),
+        "overflow at receiver 1",
+    ),
+    "infinite received power": (
+        dict(GAUSSIAN_DOC, gains=[[1e308, 1.0], [1.0, 1.0]], powers=[10.0, 1.0]),
+        "overflow at receiver 1",
+    ),
+    "received-power sum overflowing over the noise": (
+        dict(GAUSSIAN_DOC, powers=[1e300, 1e300], noise_vars=[1.0, 1e-300]),
+        "overflow at receiver 2",
+    ),
+    # The transitions are right for the header; the first pmf is too long.
+    "input pmf longer than its header": (
+        dict(DMC_DOC, input_pmfs=[[0.25, 0.25, 0.5], [0.5, 0.5]]),
+        "input pmfs",
+    ),
     "huge integer transition": (
         dict(DMC_DOC, transitions=[[[TOO_BIG, 0.0]] + HALF_ROWS[1:], HALF_ROWS]),
         "transitions",
