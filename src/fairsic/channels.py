@@ -32,6 +32,8 @@ DEFAULT_EQ_TOL = 1e-12
 # Cap on (joint input tuples) x (output letters) per rank value: the element
 # count of the largest tensor one evaluation allocates, so it bounds memory.
 DEFAULT_DMC_TERM_CAP = 1 << 24
+# Every finite double is an integer multiple of 2**-1074, the least subnormal.
+_UNITS_PER_ONE = 1 << 1074
 
 
 def check_receiver(num_users: int, receiver: int) -> None:
@@ -147,6 +149,34 @@ class GaussianChannel:
         # Bit k-1 of the mask, read from the lowest: user k's received power.
         interference = math.fsum(p for p, bit in zip(row, bin(mask)[:1:-1]) if bit == "1")
         return math.log2(1.0 + interference / float(self.noise_vars[receiver - 1]))
+
+    @cached_property
+    def _received_units(self) -> tuple[tuple[int, ...], ...]:
+        """Each received power as an exact int count of 2**-1074 units."""
+        return tuple(
+            tuple(n * (_UNITS_PER_ONE // d) for n, d in map(float.as_integer_ratio, row))
+            for row in self.received_powers.tolist()
+        )
+
+    def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
+        """Rank value left after dropping each member of ``mask``, by member.
+
+        Bit-identical to ``_rank(receiver, mask ^ bit)``, O(K) for all
+        members: the exact int sum less one member divides, correctly
+        rounded as ``math.fsum`` is, to the same float.  The constructor's
+        finite full-set sum over the noise bounds every step.
+        """
+        check_receiver(self.num_users, receiver)
+        if not 0 <= mask < 1 << self.num_users:
+            raise IndexError(f"mask {mask} names users outside 1..{self.num_users}")
+        units = self._received_units[receiver - 1]
+        noise = float(self.noise_vars[receiver - 1])
+        members = [k for k in range(self.num_users) if mask >> k & 1]
+        total = sum(units[k] for k in members)
+        return {
+            k + 1: math.log2(1.0 + (total - units[k]) / _UNITS_PER_ONE / noise)
+            for k in members
+        }
 
 
 def gaussian_rank_value(channel: GaussianChannel, receiver: int, users: Iterable[int]) -> float:
@@ -329,7 +359,13 @@ class TabulatedRanks:
                         f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
                         f"must be a real number, got {value!r}"
                     )
-                value = values[mask] = float(value)
+                try:
+                    value = values[mask] = float(value)
+                except OverflowError:
+                    raise ValidationError(
+                        f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
+                        "is too large for a float"
+                    ) from None
                 if not math.isfinite(value) or value < 0:
                     raise ValidationError(
                         f"tables entry of receiver {j} for {sorted(mask_users(mask))} "

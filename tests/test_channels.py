@@ -326,6 +326,10 @@ class TestTabulated:
         with pytest.raises(ValidationError, match=r"for \[1\] must be a real number"):
             TabulatedRanks(2, ({**good, 1: bad}, good))
 
+    def test_direct_construction_refuses_numbers_too_large_for_a_float(self):
+        with pytest.raises(ValidationError, match=r"receiver 1 for \[1\] is too large for a float"):
+            TabulatedRanks(1, ({0: 0.0, 1: 10**400},))
+
     def test_duplicate_subset_rejected(self):
         entries = [([], 0.0), ([1], 0.5), ([2], 0.7), ([1, 2], 1.0), ([1], 0.6)]
         with pytest.raises(ValidationError, match=r"subset \[1\] twice"):

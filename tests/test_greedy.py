@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fairsic.greedy
 from fairsic import (
     DecodingProfile,
     GaussianChannel,
+    DecodingOrder,
     NonRankInputError,
     RankFunctionSet,
+    ValidationError,
     decode_sequence,
     decoded_set,
     gaussian_fast_order,
@@ -16,9 +20,11 @@ from fairsic import (
     greedy_order,
     greedy_profile,
     random_gaussian_channel,
+    rank_value,
     rate_vector,
     rng_from_seed,
 )
+from fairsic.channels import mask_users
 
 from conftest import LOG2_21_11, tabulated_from_values
 
@@ -211,3 +217,127 @@ class TestGaussianFastPath:
             closed_form = gaussian_rate_formula(channel)
             for a, b in zip(closed_form, report.rates):
                 assert a == pytest.approx(b, abs=1e-12)
+
+
+    def test_rate_formula_survives_noise_plus_interference_overflow(self):
+        """Noise 1.7e308 plus undecoded interference 5e307 overflows, though
+        every power over the noise is finite."""
+        channel = GaussianChannel(
+            np.array([[1e308, 5e307], [1.0, 1.0]]), np.ones(2), np.array([1.7e308, 1.0])
+        )
+        greedy = greedy_profile(RankFunctionSet.for_channel(channel)).rates
+        assert greedy[0] == pytest.approx(0.5406, abs=1e-4)
+        assert gaussian_rate_formula(channel) == pytest.approx(greedy, abs=1e-9)
+
+
+def loop_greedy_order(ranks: RankFunctionSet, receiver: int) -> DecodingOrder:
+    """Reference: every candidate scored by its own ``rank_value`` call.
+
+    O(K) rank evaluations of O(K) terms per slot, so O(K^3) per receiver;
+    the Gaussian ``greedy_order`` must return the same order.
+    """
+    remaining = set(range(1, ranks.num_users + 1))
+    sequence = []
+    while True:
+        best_key = None
+        chosen = None
+        for candidate in sorted(remaining):
+            value = rank_value(ranks, receiver, remaining - {candidate})
+            key = (value, candidate == receiver, candidate)
+            if best_key is None or key < best_key:
+                best_key = key
+                chosen = candidate
+        sequence.append(chosen)
+        remaining.discard(chosen)
+        if chosen == receiver:
+            return DecodingOrder.from_decode_sequence(receiver, sequence, ranks.num_users)
+
+
+@st.composite
+def hard_gaussian_channels(draw, max_users=8):
+    """Gains over 30 decades with zeros, -0.0, subnormal received powers,
+    exact ties and ties one ulp apart."""
+    num_users = draw(st.integers(1, max_users))
+    pool = draw(st.lists(st.floats(1e-15, 1e15), min_size=1, max_size=3))
+    gain = st.one_of(
+        st.floats(1e-15, 1e15),
+        st.sampled_from(pool),
+        st.sampled_from(pool).map(lambda g: math.nextafter(g, math.inf)),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(5e-324, 1e-300),
+    )
+    gains = draw(st.lists(gain, min_size=num_users**2, max_size=num_users**2))
+    powers = draw(st.lists(st.sampled_from([1.0, 0.5, 3.0]), min_size=num_users, max_size=num_users))
+    noise = st.one_of(st.floats(1e-3, 1e3), st.floats(5e-324, 1e-290))
+    noise_vars = draw(st.lists(noise, min_size=num_users, max_size=num_users))
+    try:
+        return GaussianChannel(
+            np.array(gains).reshape(num_users, num_users), np.array(powers), np.array(noise_vars)
+        )
+    except ValidationError:  # the sum over the noise overflows
+        assume(False)
+
+
+def assert_matches_loop(channel: GaussianChannel) -> None:
+    ranks = RankFunctionSet.for_channel(channel)
+    reference = RankFunctionSet.for_channel(channel)
+    orders = tuple(loop_greedy_order(reference, j) for j in range(1, channel.num_users + 1))
+    report = greedy_profile(ranks)
+    assert report.profile.orders == orders
+    expected = rate_vector(reference, DecodingProfile(orders))
+    assert [r.hex() for r in report.rates] == [r.hex() for r in expected]
+
+
+class TestGaussianGreedyMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(hard_gaussian_channels())
+    def test_hard_channels(self, channel):
+        assert_matches_loop(channel)
+
+    @pytest.mark.parametrize("num_users", [32, 64])
+    def test_generated_channels(self, num_users):
+        assert_matches_loop(random_gaussian_channel(num_users, rng_from_seed(num_users)))
+
+    def test_pinned_one_ulp_tie(self):
+        strong = 1e20
+        channel = GaussianChannel(
+            np.array([[0.5, strong, math.nextafter(strong, math.inf)], [1.0] * 3, [1.0] * 3]),
+            np.ones(3),
+            np.ones(3),
+        )
+        assert_matches_loop(channel)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hard_gaussian_channels(max_users=5))
+    def test_every_drop_value_is_the_rank_value(self, channel):
+        ranks = RankFunctionSet.for_channel(channel)
+        for receiver in range(1, channel.num_users + 1):
+            for mask in range(1 << channel.num_users):
+                users = mask_users(mask)
+                drops = channel.drop_values(receiver, mask)
+                assert list(drops) == sorted(users)
+                for user, value in drops.items():
+                    assert value.hex() == rank_value(ranks, receiver, users - {user}).hex()
+
+    def test_drop_values_range_checks(self, two_user_channel):
+        for receiver, mask in ((0, 1), (3, 1), (1, -1), (1, 4)):
+            with pytest.raises(IndexError):
+                two_user_channel.drop_values(receiver, mask)
+
+    def test_one_rank_evaluation_per_slot(self, monkeypatch):
+        calls = []
+        inner = fairsic.greedy.rank_value
+
+        def counting(ranks, receiver, users):
+            calls.append(frozenset(users))
+            return inner(ranks, receiver, users)
+
+        monkeypatch.setattr(fairsic.greedy, "rank_value", counting)
+        ranks = RankFunctionSet.for_channel(random_gaussian_channel(6, rng_from_seed(5)))
+        order = greedy_order(ranks, 3)
+        sequence = decode_sequence(order)
+        assert len(calls) == len(sequence)
+        left = set(range(1, 7))
+        for chosen, users in zip(sequence, calls):
+            left.discard(chosen)
+            assert users == left
