@@ -354,23 +354,26 @@ class TabulatedRanks:
             # A copy: later writes to the caller's dict change no rank value.
             values = {}
             for mask, value in table.items():
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValidationError(
-                        f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
-                        f"must be a real number, got {value!r}"
-                    )
-                try:
-                    value = values[mask] = float(value)
-                except OverflowError:
-                    raise ValidationError(
-                        f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
-                        "is too large for a float"
-                    ) from None
+                # Parsed JSON gives plain floats; skip the ABC check for them.
+                if type(value) is not float:
+                    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                        raise ValidationError(
+                            f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
+                            f"must be a real number, got {value!r}"
+                        )
+                    try:
+                        value = float(value)
+                    except OverflowError:
+                        raise ValidationError(
+                            f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
+                            "is too large for a float"
+                        ) from None
                 if not math.isfinite(value) or value < 0:
                     raise ValidationError(
                         f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
                         f"must be finite and nonnegative, got {value!r}"
                     )
+                values[mask] = value
             owned.append(values)
         object.__setattr__(self, "tables", tuple(owned))
 

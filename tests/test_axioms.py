@@ -1,13 +1,22 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsic import (
     RankFunctionSet,
+    TabulatedRanks,
     ValidationError,
+    generate_channel,
     random_dmc_channel,
     random_gaussian_channel,
     rng_from_seed,
     validate_rank_axioms,
 )
+from fairsic.axioms import _receiver_violations, subset_value_table
+from fairsic.channels import DEFAULT_AXIOM_TOL
 
 from conftest import tabulated_from_values
 
@@ -69,3 +78,161 @@ def test_guard_on_large_user_counts():
     channel = random_gaussian_channel(13, rng_from_seed(0))
     with pytest.raises(ValidationError):
         validate_rank_axioms(RankFunctionSet.for_channel(channel))
+
+
+def loop_receiver_violations(table: np.ndarray) -> tuple[float, float, float]:
+    """Reference: one Python pass per subset s over all 2^K masks.
+
+    Monotonicity takes f(s) minus the minimum over the strict supersets of
+    s; submodularity evaluates ((f(m|s) + f(m&s)) - f(m)) - f(s) for every
+    m.  ``_receiver_violations`` must return the same triple, bit for bit.
+    """
+    size = table.shape[0]
+    masks = np.arange(size)
+    normalization = abs(float(table[0]))
+    monotonicity = 0.0
+    submodularity = 0.0
+    for s in range(size):
+        f_s = table[s]
+        superset = (masks & s) == s
+        superset[s] = False
+        if superset.any():
+            worst = float(f_s - table[superset].min())
+            if worst > monotonicity:
+                monotonicity = worst
+        union = table[masks | s]
+        intersection = table[masks & s]
+        worst = float((union + intersection - table - f_s).max())
+        if worst > submodularity:
+            submodularity = worst
+    return normalization, max(0.0, monotonicity), max(0.0, submodularity)
+
+
+def assert_matches_loop(tables) -> list[tuple[float, float, float]]:
+    tables = np.array(tables, dtype=float)
+    found = _receiver_violations(tables)
+    assert repr(found) == repr([loop_receiver_violations(table) for table in tables])
+    return found
+
+
+def modular_table(weights) -> np.ndarray:
+    """f(s) = sum of the weights in s, summed in mask order."""
+    table = np.zeros(1 << len(weights))
+    for i, weight in enumerate(weights):
+        table[1 << i : 2 << i] = table[: 1 << i] + weight
+    return table
+
+
+def random_tables(rng, num_users, receivers=3):
+    """Noise, modular and concave-of-modular tables at one scale.
+
+    Modular tables make every pair's exact excess 0, so the reported
+    submodularity is a rounding residue; noise breaks monotonicity and
+    submodularity; f(empty) is left nonzero in some.
+    """
+    scale = 10.0 ** rng.uniform(-12, 6)
+    tables = []
+    for r in range(receivers):
+        weights = rng.random(num_users)
+        kind = r % 3
+        if kind == 0:
+            table = rng.random(1 << num_users)
+        elif kind == 1:
+            table = modular_table(weights)
+        else:
+            table = np.log2(1.0 + modular_table(weights))
+            table[1:] += rng.random(table.shape[0] - 1) * 1e-9
+        table *= scale
+        if rng.random() < 0.5:
+            table[0] = scale * rng.random()
+        tables.append(table)
+    return tables
+
+
+class TestScanMatchesLoop:
+    @pytest.mark.parametrize("num_users", range(1, 9))
+    def test_random_tables(self, num_users):
+        rng = np.random.default_rng(num_users)
+        for _ in range(6):
+            assert_matches_loop(random_tables(rng, num_users))
+
+    def test_several_blocks_per_table(self):
+        # At K=10 a block holds 32 of the 1024 rows.
+        assert_matches_loop(random_tables(np.random.default_rng(10), 10, receivers=2))
+
+    @pytest.mark.parametrize("num_users", [2, 3, 5, 8, 10])
+    def test_generated_table_pushed_just_past_tol(self, num_users):
+        channel = generate_channel("tabulated-submodular", num_users, num_users)
+        ranks = RankFunctionSet.for_channel(channel)
+        tables = [subset_value_table(ranks, j) for j in range(1, num_users + 1)]
+        assert validate_rank_axioms(ranks).passed
+        full = (1 << num_users) - 1
+        first = tables[0]
+        pairs = [
+            (full ^ 1 << i, full ^ 1 << k) for i in range(num_users) for k in range(i + 1, num_users)
+        ]
+        slack = min(first[a] + first[b] - first[full] - first[a & b] for a, b in pairs)
+        first[full] += slack + 1.01 * DEFAULT_AXIOM_TOL
+        found = assert_matches_loop(tables)
+        assert DEFAULT_AXIOM_TOL < found[0][2] < 1.02 * DEFAULT_AXIOM_TOL
+        pushed = TabulatedRanks(
+            num_users, tuple({m: float(v) for m, v in enumerate(t)} for t in tables)
+        )
+        report = validate_rank_axioms(RankFunctionSet.for_channel(pushed))
+        assert not report.passed
+        assert [
+            (r.normalization_violation, r.monotonicity_violation, r.submodularity_violation)
+            for r in report.receivers
+        ] == found
+
+    def test_single_user_table(self):
+        assert assert_matches_loop([[0.5, 0.25], [0.0, 2.0], [3.0, 0.0]]) == [
+            (0.5, 0.25, 0.0),
+            (0.0, 0.0, 0.0),
+            (3.0, 3.0, 0.0),
+        ]
+
+    def test_full_set_row_has_no_strict_superset(self):
+        # Only the full set holds a value: monotone, and the full set's own
+        # row (no superset to drop to) adds no monotonicity violation.
+        found = assert_matches_loop([[0.0, 0.0, 0.0, 5.0], [0.0, 1.0, 1.0, 0.25]])
+        assert found == [(0.0, 0.0, 5.0), (0.0, 0.75, 0.0)]
+
+    def test_negative_zero_entries(self):
+        assert assert_matches_loop([[-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, -0.0, -0.0]]) == [
+            (0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0),
+        ]
+
+    def test_comparable_pair_residue_is_reported(self):
+        # log2(1 + modular) is strictly submodular on incomparable pairs, so
+        # the reported excess comes from a pair with m inside s or s inside
+        # m: ((f(s) + f(m)) - f(s)) - f(m) rounds to a few ulp, not to 0.
+        table = np.log2(1.0 + modular_table([0.1, 0.2, 0.7, 1e-3, 3.3]))
+        found = assert_matches_loop([table])
+        assert 0.0 < found[0][2] < 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hypothesis_tables(self, data):
+        num_users = data.draw(st.integers(1, 6))
+        size = 1 << num_users
+        pool = data.draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4))
+        value = st.one_of(
+            st.floats(0.0, 1e6),
+            st.floats(0.0, 1e-300),
+            st.just(-0.0),
+            st.sampled_from(pool),
+            st.sampled_from(pool).map(lambda v: math.nextafter(v, math.inf)),
+        )
+        tables = data.draw(
+            st.lists(
+                st.lists(value, min_size=size, max_size=size), min_size=1, max_size=3
+            )
+        )
+        if data.draw(st.booleans()):
+            weights = data.draw(
+                st.lists(st.floats(0.0, 1e3), min_size=num_users, max_size=num_users)
+            )
+            tables.append(list(modular_table(weights)))
+        assert_matches_loop(tables)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -329,6 +330,33 @@ class TestTabulated:
     def test_direct_construction_refuses_numbers_too_large_for_a_float(self):
         with pytest.raises(ValidationError, match=r"receiver 1 for \[1\] is too large for a float"):
             TabulatedRanks(1, ({0: 0.0, 1: 10**400},))
+
+    @pytest.mark.parametrize(
+        "value", [3, np.float64(0.25), Fraction(1, 3), np.int64(2), 0.0, -0.0]
+    )
+    def test_direct_construction_accepts_real_numbers(self, value):
+        good = {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3}
+        stored = TabulatedRanks(2, ({**good, 1: value}, good)).tables[0][1]
+        assert type(stored) is float
+        assert stored.hex() == float(value).hex()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "must be a real number, got True"),
+            ("0", "must be a real number, got '0'"),
+            (10**400, "is too large for a float"),
+            (math.nan, "must be finite and nonnegative, got nan"),
+            (-1.0, "must be finite and nonnegative, got -1.0"),
+            (-1, "must be finite and nonnegative, got -1.0"),
+            (np.float64(-0.5), "must be finite and nonnegative, got -0.5"),
+        ],
+    )
+    def test_direct_construction_refusal_messages(self, bad, message):
+        good = {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3}
+        with pytest.raises(ValidationError) as excinfo:
+            TabulatedRanks(2, (good, {**good, 2: bad}))
+        assert str(excinfo.value) == f"tables entry of receiver 2 for [2] {message}"
 
     def test_duplicate_subset_rejected(self):
         entries = [([], 0.0), ([1], 0.5), ([2], 0.7), ([1, 2], 1.0), ([1], 0.6)]
