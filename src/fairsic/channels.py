@@ -243,16 +243,16 @@ class DmcChannel:
     def output_alphabet_sizes(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.transitions)
 
-    def _rank(self, receiver: int, mask: int, term_cap: int = DEFAULT_DMC_TERM_CAP) -> float:
+    def _rank(self, receiver: int, mask: int) -> float:
         if not mask:
             return 0.0
         sizes = self.input_alphabet_sizes
         out_size = self.output_alphabet_sizes[receiver - 1]
         joint = math.prod(sizes)
-        if joint * out_size > term_cap:
+        if joint * out_size > DEFAULT_DMC_TERM_CAP:
             raise CapacityError(
                 f"rank evaluation needs {joint} joint tuples x "
-                f"{out_size} outputs, cap is {term_cap}"
+                f"{out_size} outputs, cap is {DEFAULT_DMC_TERM_CAP}"
             )
         inside = [k for k in range(self.num_users) if mask >> k & 1]
         complement = [k for k in range(self.num_users) if not mask >> k & 1]
@@ -278,18 +278,12 @@ class DmcChannel:
         return math.fsum(map(operator.mul, mass[keep].tolist(), logs))
 
 
-def dmc_rank_value(
-    channel: DmcChannel,
-    receiver: int,
-    users: Iterable[int],
-    *,
-    term_cap: int = DEFAULT_DMC_TERM_CAP,
-) -> float:
+def dmc_rank_value(channel: DmcChannel, receiver: int, users: Iterable[int]) -> float:
     """Conditional mutual information I(output_j ; inputs in S | inputs outside S).
 
     Exact evaluation on the (|X_1|, ..., |X_K|, |Y_j|) tensor with the
     0 log 0 = 0 convention.  Raises CapacityError when the tensor would
-    exceed ``term_cap`` elements.
+    exceed ``DEFAULT_DMC_TERM_CAP`` elements.
 
     The result is bit-identical to summing ``p(x) p(y|x) log2(p(y|x) /
     p(y|x_outside))`` tuple by tuple, and rank values are compared for
@@ -300,7 +294,7 @@ def dmc_rank_value(
     added by ``math.fsum``.
     """
     check_receiver(channel.num_users, receiver)
-    return channel._rank(receiver, check_users(channel.num_users, users), term_cap)
+    return channel._rank(receiver, check_users(channel.num_users, users))
 
 
 @dataclass(frozen=True)
@@ -393,13 +387,11 @@ class RankFunctionSet:
     ``_rank(receiver, mask)`` evaluates a subset bitmask that
     ``check_users`` has range-checked once.  Evaluation is pure; a private
     memo table keyed by (receiver, subset mask) caches values, which is
-    safe because backends are immutable.  The rank-axiom verdict per
-    tolerance is memoized separately.
+    safe because backends are immutable.
     """
 
     backend: Channel
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _axiom_verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, Channel):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable
@@ -47,6 +48,17 @@ def _profile_sequences(profile: DecodingProfile) -> list[list[int]]:
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
+
+
+def _tolerance(text: str) -> float:
+    """``--tol`` type: a finite number, 0 or more; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _parse_profile_arg(text: str, num_users: int) -> DecodingProfile:
@@ -266,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tol",
-            type=float,
+            type=_tolerance,
             default=DEFAULT_AXIOM_TOL,
             help="numerical tolerance for this command",
         )

@@ -21,15 +21,14 @@ smallest index.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from .axioms import validate_rank_axioms
 from .channels import (
     DEFAULT_AXIOM_TOL,
     GaussianChannel,
     RankFunctionSet,
+    TabulatedRanks,
     check_receiver,
     rank_value,
 )
@@ -47,7 +46,6 @@ class SolveReport:
     decoded_sets: tuple[frozenset[int], ...]
     decoder_sets: tuple[frozenset[int], ...]
     backend_kind: str
-    timings: Mapping[str, float]
 
 
 def ensure_rank_input(
@@ -56,18 +54,16 @@ def ensure_rank_input(
     """Refuse tabulated backends that fail the rank axioms unless forced.
 
     Gaussian and discrete-channel backends satisfy the axioms analytically
-    and are exempt.  The verdict is cached on the rank set.
+    and are exempt.  A tabulated backend is checked exhaustively on each
+    unforced call: the check is a precondition of the call, not a property
+    of the rank set.
     """
-    if ranks.kind != "tabulated" or force:
+    if force or not isinstance(ranks.backend, TabulatedRanks):
         return
-    verdict = ranks._axiom_verdicts.get(tol)
-    if verdict is None:
-        verdict = validate_rank_axioms(ranks, tol).passed
-        ranks._axiom_verdicts[tol] = verdict
-    if not verdict:
+    if not validate_rank_axioms(ranks, tol).passed:
         raise NonRankInputError(
-            "tabulated backend violates the rank axioms; greedy optimality "
-            "is only guaranteed for rank functions (pass force=True to solve anyway)"
+            "tabulated backend violates the rank axioms; greedy optimality is only "
+            "guaranteed for rank functions (pass --force, or force=True, to solve anyway)"
         )
 
 
@@ -123,18 +119,11 @@ def greedy_profile(
 ) -> SolveReport:
     """Run the greedy order per receiver and evaluate the resulting rates."""
     ensure_rank_input(ranks, tol=tol, force=force)
-    start = time.perf_counter()
     profile = DecodingProfile(
-        tuple(
-            greedy_order(ranks, j, tol=tol, force=True)
-            for j in range(1, ranks.num_users + 1)
-        )
+        tuple(greedy_order(ranks, j, force=True) for j in range(1, ranks.num_users + 1))
     )
-    order_time = time.perf_counter() - start
-    start = time.perf_counter()
     rates = rate_vector(ranks, profile)
     value, bottleneck = min_rate(rates)
-    rate_time = time.perf_counter() - start
     return SolveReport(
         profile=profile,
         rates=rates,
@@ -145,7 +134,6 @@ def greedy_profile(
             decoder_set(profile, k) for k in range(1, ranks.num_users + 1)
         ),
         backend_kind=ranks.kind,
-        timings={"order_seconds": order_time, "rate_seconds": rate_time},
     )
 
 

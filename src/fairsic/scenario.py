@@ -99,15 +99,14 @@ def _parse_tabulated(doc: Mapping[str, Any]) -> TabulatedRanks:
                 f"field 'tables' receiver {j}: entries must be "
                 f"[[sorted user indices], value] pairs"
             )
-        subsets = [users for users, _ in entries]
-        for users in subsets:
+        for users, _ in entries:
             if not all(type(u) is int for u in users) or users != sorted(users):
                 raise ScenarioParseError(
                     f"field 'tables' receiver {j}: subsets must be sorted "
                     f"integer lists, got {users}"
                 )
-        values = _numbers([value for _, value in entries], "tables").tolist()
-        per_receiver.append(zip(subsets, values))
+        per_receiver.append(entries)
+    # The values go in as JSON gave them: the constructor types and checks each.
     return TabulatedRanks.from_subsets(doc["K"], per_receiver)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairsic.axioms
+import fairsic.channels
 import fairsic.greedy
 import fairsic.rates
 from fairsic import (
@@ -133,13 +134,15 @@ class TestDmcRank:
         assert dmc_rank_value(xor_dmc_channel, 2, {1}) == pytest.approx(0.0, abs=1e-12)
         assert dmc_rank_value(xor_dmc_channel, 2, {2}) == pytest.approx(1.0, abs=1e-12)
 
-    def test_budget_cap(self, xor_dmc_channel):
-        with pytest.raises(CapacityError):
-            dmc_rank_value(xor_dmc_channel, 1, {1}, term_cap=7)
+    def test_budget_cap(self, xor_dmc_channel, monkeypatch):
+        monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 7)
+        with pytest.raises(CapacityError, match="cap is 7"):
+            dmc_rank_value(xor_dmc_channel, 1, {1})
 
-    def test_budget_cap_admits_exact_tensor_size(self, xor_dmc_channel):
+    def test_budget_cap_admits_exact_tensor_size(self, xor_dmc_channel, monkeypatch):
         # 4 joint tuples x 2 outputs = 8 elements; a cap of 7 raises above.
-        assert dmc_rank_value(xor_dmc_channel, 1, {1}, term_cap=8) == loop_dmc_rank_value(
+        monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 8)
+        assert dmc_rank_value(xor_dmc_channel, 1, {1}) == loop_dmc_rank_value(
             xor_dmc_channel, 1, {1}
         )
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import fairsic.channels
 from fairsic.cli import main
 
 from conftest import LOG2_4_3, LOG2_21_11
@@ -11,6 +12,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TWO_USER = str(SCENARIOS / "two_user_gaussian.json")
 SINGLE = str(SCENARIOS / "single_user.json")
 TABULATED = str(SCENARIOS / "tabulated_two_user.json")
+XOR_DMC = str(SCENARIOS / "xor_dmc.json")
 
 
 def run(capsys, *argv):
@@ -78,7 +80,8 @@ class TestSolve:
         path = write_bad_table(tmp_path, [0.0, 1.0, 1.0, 3.0])
         code, _, err = run(capsys, "solve", "--scenario", path)
         assert code == 1
-        assert "rank" in err
+        assert "rank axioms" in err
+        assert "--force" in err and "force=True" in err
         code, out, _ = run(capsys, "solve", "--scenario", path, "--force")
         assert code == 0
 
@@ -246,6 +249,15 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--scenario", TABULATED)
         assert code == 0
 
+    def test_dmc_term_cap_exits_3(self, capsys, monkeypatch):
+        # The XOR channel needs 4 joint tuples x 2 outputs = 8 elements.
+        monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 7)
+        code, out, err = run(capsys, "solve", "--scenario", XOR_DMC)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "cap is 7" in err
+        assert "Traceback" not in err
+
 
 class TestValidate:
     def test_gaussian_passes(self, capsys):
@@ -314,3 +326,30 @@ class TestGen:
         doc = json.loads(out)
         assert doc["powers"] == [1.0, 1.0]
         assert doc["noise_vars"] == [2.0, 2.0]
+
+
+# Each command with the arguments it needs besides --tol.
+TOL_COMMANDS = {
+    "solve": ["solve", "--scenario", TWO_USER],
+    "rates": ["rates", "--scenario", TWO_USER, "--profile", "2 1; 2"],
+    "certify": ["certify", "--scenario", TWO_USER],
+    "validate": ["validate", "--scenario", XOR_DMC],
+}
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+    def test_refused_as_usage_error(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exited:
+            main(TOL_COMMANDS[command] + [f"--tol={value}"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: must be finite and >= 0, got '{value}'" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+    def test_zero_still_runs(self, capsys, command):
+        code, out, err = run(capsys, *TOL_COMMANDS[command], "--tol", "0")
+        assert code == 0
+        assert out and err == ""

@@ -13,10 +13,12 @@ from fairsic import (
     NonRankInputError,
     RankFunctionSet,
     ValidationError,
+    certify,
     decode_sequence,
     decoded_set,
     gaussian_fast_order,
     gaussian_rate_formula,
+    generate_channel,
     greedy_order,
     greedy_profile,
     random_gaussian_channel,
@@ -128,7 +130,7 @@ class TestRankGate:
         report = greedy_profile(ranks)
         assert report.backend_kind == "tabulated"
 
-    def test_verdict_cached_apart_from_rank_values(self, monkeypatch):
+    def test_gate_runs_once_per_call_without_memo(self, monkeypatch, xor_dmc_channel):
         runs = []
         validate = fairsic.greedy.validate_rank_axioms
 
@@ -136,19 +138,36 @@ class TestRankGate:
             runs.append(args)
             return validate(*args, **kwargs)
 
+        def runs_during(call):
+            before = len(runs)
+            result = call()
+            return len(runs) - before, result
+
         monkeypatch.setattr(fairsic.greedy, "validate_rank_axioms", counting_validate)
-        ranks = RankFunctionSet.for_channel(
-            tabulated_from_values([(0.0, 1.0, 1.0, 1.5), (0.0, 1.0, 1.0, 1.5)])
-        )
-        first = greedy_profile(ranks)
+        ranks = RankFunctionSet.for_channel(generate_channel("tabulated-submodular", 3, 5))
+        assert validate(ranks).passed
+
+        count, first = runs_during(lambda: greedy_profile(ranks))
+        assert count == 1
         assert ranks._cache
         assert all(
             isinstance(key, tuple) and [type(part) for part in key] == [int, int]
             for key in ranks._cache
         )
-        second = greedy_profile(ranks)
+        # No memo: the same rank set is checked again on the next call.
+        count, second = runs_during(lambda: greedy_profile(ranks))
+        assert count == 1
         assert (second.profile, second.rates) == (first.profile, first.rates)
-        assert len(runs) == 1
+        assert runs_during(lambda: greedy_order(ranks, 2))[0] == 1
+        assert runs_during(lambda: certify(ranks))[0] == 1
+        assert runs_during(lambda: greedy_profile(ranks, force=True))[0] == 0
+        assert runs_during(lambda: greedy_order(ranks, 2, force=True))[0] == 0
+        assert runs_during(lambda: certify(ranks, force=True))[0] == 0
+        for channel in (random_gaussian_channel(3, rng_from_seed(5)), xor_dmc_channel):
+            exempt = RankFunctionSet.for_channel(channel)
+            assert runs_during(lambda: greedy_profile(exempt))[0] == 0
+            assert runs_during(lambda: greedy_order(exempt, 1))[0] == 0
+            assert runs_during(lambda: certify(exempt))[0] == 0
 
 
 class TestGaussianFastPath:

@@ -218,6 +218,14 @@ MALFORMED_DOCS = {
         _receiver_1_table([[[], 0.0], [[1], 0.5], [[2], 0.7], [[1, 2], TOO_BIG]]),
         "tables",
     ),
+    "string tabulated value": (
+        _receiver_1_table([[[], 0.0], [[1], "0.5"], [[2], 0.7], [[1, 2], 1.0]]),
+        "tables",
+    ),
+    "true tabulated value": (
+        _receiver_1_table([[[], 0.0], [[1], 0.5], [[2], True], [[1, 2], 1.0]]),
+        "tables",
+    ),
 }
 
 
