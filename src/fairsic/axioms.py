@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DEFAULT_AXIOM_TOL, RankFunctionSet, rank_value
+from .channels import (
+    DEFAULT_AXIOM_TOL,
+    RankFunctionSet,
+    TabulatedRanks,
+    check_receiver,
+    rank_value,
+)
 from .errors import ValidationError
 
 MAX_VALIDATABLE_USERS = 12
@@ -63,7 +69,16 @@ class AxiomReport:
 
 
 def subset_value_table(ranks: RankFunctionSet, receiver: int) -> np.ndarray:
-    """All 2^K rank values of one receiver, indexed by subset bitmask."""
+    """All 2^K rank values of one receiver, indexed by subset bitmask.
+
+    A tabulated backend stores each table in mask order, so its values are
+    read whole; other backends go through ``rank_value`` subset by subset.
+    """
+    backend = ranks.backend
+    if isinstance(backend, TabulatedRanks):
+        check_receiver(backend.num_users, receiver)
+        table = backend.tables[receiver - 1]
+        return np.fromiter(table.values(), float, len(table))
     subsets = [frozenset()]  # in mask order: user k added doubles the list
     for user in range(1, ranks.num_users + 1):
         subsets += [users | {user} for users in subsets]
@@ -127,7 +142,7 @@ def validate_rank_axioms(
 
     Reports the worst violation magnitude per axiom and receiver; a clean
     receiver reports zeros.  Nothing is raised on failure, the report
-    carries it.  The 2^K values per receiver come from ``rank_value``.
+    carries it.  The 2^K values per receiver come from ``subset_value_table``.
     The worst drop is f(s) minus the exact minimum over strict supersets
     of s; the worst excess is the largest ((f(m|s) + f(m&s)) - f(m)) - f(s)
     over all 4^K ordered pairs, scanned in numpy blocks of at most 2^15

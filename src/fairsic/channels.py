@@ -20,6 +20,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import ClassVar, Iterable, Mapping, Union
 
 import numpy as np
@@ -303,8 +304,9 @@ class TabulatedRanks:
 
     Construction requires a complete table (all 2^K subsets per receiver)
     of finite, nonnegative real numbers, bools refused, and keeps its own
-    copy; rank-axiom compliance is *not* checked here, so violating tables
-    can be built on purpose and fed to the axiom validator.
+    copy, each receiver's dict in mask order so that its values are the
+    dense table; rank-axiom compliance is *not* checked here, so violating
+    tables can be built on purpose and fed to the axiom validator.
     """
 
     kind: ClassVar[str] = "tabulated"
@@ -339,15 +341,17 @@ class TabulatedRanks:
         expected = 1 << self.num_users
         owned = []
         for j, table in enumerate(self.tables, start=1):
-            if len(table) != expected or set(table) != set(range(expected)):
-                missing = sorted(set(range(expected)) - set(table))
+            if len(table) != expected or not all(map(table.__contains__, range(expected))):
+                # Lazily: a short table may name a K whose 2^K masks fit in no memory.
+                missing = list(islice((m for m in range(expected) if m not in table), 5))
                 raise IncompleteTableError(
                     f"receiver {j} table must cover all {expected} subsets; "
                     f"missing masks {missing[:4]}{'...' if len(missing) > 4 else ''}"
                 )
             # A copy: later writes to the caller's dict change no rank value.
             values = {}
-            for mask, value in table.items():
+            for mask in range(expected):
+                value = table[mask]
                 # Parsed JSON gives plain floats; skip the ABC check for them.
                 if type(value) is not float:
                     if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -67,7 +67,7 @@ def _parse_profile_arg(text: str, num_users: int) -> DecodingProfile:
         path = Path(text[1:])
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read profile from {path}: {exc}") from exc
         sequences = doc.get("profile") if isinstance(doc, dict) else doc
         if not isinstance(sequences, list) or not all(

@@ -95,6 +95,8 @@ def generate_channel(
 ):
     if num_users < 1:
         raise ValidationError(f"user count must be at least 1, got {num_users}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = rng_from_seed(seed)
     if kind == "gaussian":
         return random_gaussian_channel(num_users, rng, power=power, noise=noise)

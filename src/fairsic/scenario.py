@@ -9,6 +9,8 @@ written scenario parses back to bit-identical numbers.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -88,8 +90,31 @@ def _parse_dmc(doc: Mapping[str, Any]) -> DmcChannel:
     return channel
 
 
+def _sorted_subsets(num_users: int) -> dict[tuple[int, ...], int]:
+    """Each user subset as a sorted tuple, mapped to its bitmask."""
+    subsets = [()]  # in mask order: user k added doubles the list
+    for user in range(1, num_users + 1):
+        subsets += [users + (user,) for users in subsets]
+    return dict(zip(subsets, range(len(subsets))))
+
+
+def _indexed_table(entries: list, index: dict[tuple[int, ...], int]) -> dict | None:
+    """Mask -> value when every user list is a key of ``index``, none twice.
+
+    Such a list is sorted, in range and repeats no user.  The int check
+    comes first because true and 1.0 hash like 1.
+    """
+    users = list(map(itemgetter(0), entries))
+    if not set(map(type, chain.from_iterable(users))) <= {int}:
+        return None
+    table = dict(zip(map(index.get, map(tuple, users)), map(itemgetter(1), entries)))
+    return table if None not in table and len(table) == len(entries) else None
+
+
 def _parse_tabulated(doc: Mapping[str, Any]) -> TabulatedRanks:
-    per_receiver = []
+    num_users = doc["K"]
+    index = None
+    masked: list[dict] | None = []  # per receiver while every list is indexed
     for j, entries in enumerate(doc["tables"], start=1):
         if not isinstance(entries, list) or not all(
             isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)
@@ -99,15 +124,30 @@ def _parse_tabulated(doc: Mapping[str, Any]) -> TabulatedRanks:
                 f"field 'tables' receiver {j}: entries must be "
                 f"[[sorted user indices], value] pairs"
             )
+        if masked is not None:
+            table = None
+            # Fewer than 2^K entries cannot be complete: no index, which
+            # keeps its size bounded by the file.
+            if len(entries) >= 1 << num_users:
+                if index is None:
+                    index = _sorted_subsets(num_users)
+                table = _indexed_table(entries, index)
+            if table is not None:
+                masked.append(table)
+                continue
+            masked = None
+        # Off the indexed path every list is checked on its own, so each
+        # refusal keeps its message.
         for users, _ in entries:
             if not all(type(u) is int for u in users) or users != sorted(users):
                 raise ScenarioParseError(
                     f"field 'tables' receiver {j}: subsets must be sorted "
                     f"integer lists, got {users}"
                 )
-        per_receiver.append(entries)
     # The values go in as JSON gave them: the constructor types and checks each.
-    return TabulatedRanks.from_subsets(doc["K"], per_receiver)
+    if masked is not None:
+        return TabulatedRanks(num_users, tuple(masked))
+    return TabulatedRanks.from_subsets(num_users, doc["tables"])
 
 
 # kind -> (parser, the per-user fields that sit beside "kind" and "K")
@@ -153,7 +193,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> Channel:
 def load_scenario(path: str | Path) -> Channel:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario {path}: {exc}") from exc
     try:
         doc = json.loads(text)

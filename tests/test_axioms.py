@@ -12,11 +12,12 @@ from fairsic import (
     generate_channel,
     random_dmc_channel,
     random_gaussian_channel,
+    rank_value,
     rng_from_seed,
     validate_rank_axioms,
 )
 from fairsic.axioms import _receiver_violations, subset_value_table
-from fairsic.channels import DEFAULT_AXIOM_TOL
+from fairsic.channels import DEFAULT_AXIOM_TOL, mask_users
 
 from conftest import tabulated_from_values
 
@@ -78,6 +79,35 @@ def test_guard_on_large_user_counts():
     channel = random_gaussian_channel(13, rng_from_seed(0))
     with pytest.raises(ValidationError):
         validate_rank_axioms(RankFunctionSet.for_channel(channel))
+
+
+@pytest.mark.parametrize("order", ["reversed", "random"])
+def test_stored_tables_read_whole_in_mask_order(order):
+    """The constructor stores each table in mask order, whatever order the
+    caller's dicts were built in, so reading the values whole gives the
+    rank_value fill bit for bit, -0.0 included."""
+    num_users = 5
+    size = 1 << num_users
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 2.0, size=(num_users, size))  # no rank function
+    values[:, 0] = -0.0
+    values[1, 5] = -0.0
+    masks = list(range(size))[::-1] if order == "reversed" else rng.permutation(size).tolist()
+    shuffled = TabulatedRanks(num_users, tuple({m: float(row[m]) for m in masks} for row in values))
+    ranks = RankFunctionSet.for_channel(shuffled)
+    filled = [
+        [rank_value(ranks, j, mask_users(mask)) for mask in range(size)]
+        for j in range(1, num_users + 1)
+    ]
+    for j, expected in enumerate(filled, start=1):
+        assert list(map(repr, subset_value_table(ranks, j).tolist())) == list(map(repr, expected))
+    report = validate_rank_axioms(ranks)
+    found = [
+        (r.normalization_violation, r.monotonicity_violation, r.submodularity_violation)
+        for r in report.receivers
+    ]
+    assert repr(found) == repr(_receiver_violations(np.array(filled)))
+    assert not report.passed
 
 
 def loop_receiver_violations(table: np.ndarray) -> tuple[float, float, float]:

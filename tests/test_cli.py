@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import fairsic.channels
+from fairsic import ValidationError, generate_channel
 from fairsic.cli import main
 
 from conftest import LOG2_4_3, LOG2_21_11
@@ -75,6 +76,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--scenario", str(path))
         assert code == 2
         assert "gains" in err
+
+    @pytest.mark.parametrize("command", ["solve", "rates", "certify", "validate"])
+    def test_scenario_not_utf8_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        argv = [command, "--scenario", str(path)]
+        if command == "rates":
+            argv += ["--profile", "1; 2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
 
     def test_non_rank_tabulated_refused_without_force(self, capsys, tmp_path):
         path = write_bad_table(tmp_path, [0.0, 1.0, 1.0, 3.0])
@@ -198,6 +212,17 @@ class TestRates:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_profile_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(
+            capsys, "rates", "--scenario", TWO_USER, "--profile", f"@{path}"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read profile from {path}: ")
+        assert "Traceback" not in err
+
 
 class TestCertify:
     def test_pass_on_fixture(self, capsys):
@@ -312,6 +337,17 @@ class TestGen:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_negative_seed_refused(self, capsys):
+        code, out, err = run(capsys, "gen", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dmc", "tabulated-submodular"])
+    def test_generate_channel_refuses_negative_seed(self, kind):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            generate_channel(kind, 2, -1)
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "gaussian", "--seed", "3")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +242,73 @@ def test_malformed_document_names_field(name, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and field in captured.err
     assert "Traceback" not in captured.err
+
+
+# Messages of the subset-list refusals, as recorded before the parse went
+# through an index of sorted subsets; "[1, 1]" standing in for [1] parses.
+SUBSET_LIST_REFUSALS = {
+    "unsorted": (
+        [[[], 0.0], [[1], 0.5], [[2], 0.7], [[2, 1], 1.0]],
+        "field 'tables' receiver 1: subsets must be sorted integer lists, got [2, 1]",
+    ),
+    "true as a user": (
+        [[[], 0.0], [[True], 0.5], [[2], 0.7], [[1, 2], 1.0]],
+        "field 'tables' receiver 1: subsets must be sorted integer lists, got [True]",
+    ),
+    "1.0 as a user": (
+        [[[], 0.0], [[1.0], 0.5], [[2], 0.7], [[1, 2], 1.0]],
+        "field 'tables' receiver 1: subsets must be sorted integer lists, got [1.0]",
+    ),
+    "out-of-range user": (
+        [[[], 0.0], [[1], 0.5], [[3], 0.7], [[1, 2], 1.0]],
+        "invalid tabulated scenario: user 3 out of range 1..2",
+    ),
+    "duplicate subset": (
+        TABULATED_DOC["tables"][0] + [[[1], 0.6]],
+        "invalid tabulated scenario: tables of receiver 1 list subset [1] twice",
+    ),
+    "short table": (
+        [[[], 0.0], [[1], 0.5]],
+        "invalid tabulated scenario: receiver 1 table must cover all 4 subsets; "
+        "missing masks [2, 3]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSET_LIST_REFUSALS))
+def test_subset_list_refusal_messages(name, tmp_path, capsys):
+    entries, message = SUBSET_LIST_REFUSALS[name]
+    doc = _receiver_1_table(entries)
+    with pytest.raises(ScenarioParseError) as excinfo:
+        parse_scenario(doc)
+    assert str(excinfo.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_repeated_user_stands_for_the_user_once():
+    doc = _receiver_1_table([[[], 0.0], [[1, 1], 0.5], [[2], 0.7], [[1, 2], 1.0]])
+    assert scenario_doc(parse_scenario(doc)) == TABULATED_DOC
+
+
+def test_short_table_with_many_users_refused_at_once(tmp_path, capsys):
+    # 2^40 subsets per receiver: refusing must not enumerate them.
+    num_users = 40
+    doc = {"kind": "tabulated", "K": num_users, "tables": [[[[], 0.0]]] * num_users}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["validate", "--scenario", str(path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        f"error: invalid tabulated scenario: receiver 1 table must cover all {1 << 40} "
+        "subsets; missing masks [1, 2, 3, 4]...\n"
+    )
+    assert elapsed < 1.0
 
 
 class TestFiles:
