@@ -33,8 +33,6 @@ DEFAULT_EQ_TOL = 1e-12
 # Cap on (joint input tuples) x (output letters) per rank value: the element
 # count of the largest tensor one evaluation allocates, so it bounds memory.
 DEFAULT_DMC_TERM_CAP = 1 << 24
-# Every finite double is an integer multiple of 2**-1074, the least subnormal.
-_UNITS_PER_ONE = 1 << 1074
 
 
 def check_receiver(num_users: int, receiver: int) -> None:
@@ -152,32 +150,28 @@ class GaussianChannel:
         return math.log2(1.0 + interference / float(self.noise_vars[receiver - 1]))
 
     @cached_property
-    def _received_units(self) -> tuple[tuple[int, ...], ...]:
-        """Each received power as an exact int count of 2**-1074 units."""
-        return tuple(
-            tuple(n * (_UNITS_PER_ONE // d) for n, d in map(float.as_integer_ratio, row))
-            for row in self.received_powers.tolist()
-        )
+    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int, float], ...]:
+        """Per receiver ``(ints, scale, noise)``: power k is exactly ``ints[k] / scale``."""
+        rows = []
+        for row, noise in zip(self.received_powers.tolist(), self.noise_vars.tolist()):
+            ratios = [p.as_integer_ratio() for p in row]  # denominators are powers of two
+            scale = max(d for _, d in ratios)
+            ints = tuple(n << scale.bit_length() - d.bit_length() for n, d in ratios)
+            rows.append((ints, scale, noise))
+        return tuple(rows)
 
     def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
-        """Rank value left after dropping each member of ``mask``, by member.
-
-        Bit-identical to ``_rank(receiver, mask ^ bit)``, O(K) for all
-        members: the exact int sum less one member divides, correctly
-        rounded as ``math.fsum`` is, to the same float.  The constructor's
-        finite full-set sum over the noise bounds every step.
-        """
+        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, hex-identical as
+        ``test_every_drop_value_is_the_rank_value`` pins."""
         check_receiver(self.num_users, receiver)
         if not 0 <= mask < 1 << self.num_users:
             raise IndexError(f"mask {mask} names users outside 1..{self.num_users}")
-        units = self._received_units[receiver - 1]
-        noise = float(self.noise_vars[receiver - 1])
+        ints, scale, noise = self._scaled_rows[receiver - 1]
         members = [k for k in range(self.num_users) if mask >> k & 1]
-        total = sum(units[k] for k in members)
-        return {
-            k + 1: math.log2(1.0 + (total - units[k]) / _UNITS_PER_ONE / noise)
-            for k in members
-        }
+        total = sum(ints[k] for k in members)
+        # Int true division rounds correctly, as fsum does, to fsum's float; the
+        # constructor's finite full-set sum over the noise keeps every step finite.
+        return {k + 1: math.log2(1.0 + (total - ints[k]) / scale / noise) for k in members}
 
 
 def gaussian_rank_value(channel: GaussianChannel, receiver: int, users: Iterable[int]) -> float:
@@ -425,3 +419,8 @@ def rank_value(ranks: RankFunctionSet, receiver: int, users: Iterable[int]) -> f
     if value is None:
         value = ranks._cache[key] = backend._rank(receiver, mask)
     return value
+
+
+def store_rank_value(ranks: RankFunctionSet, receiver: int, mask: int, value: float) -> None:
+    """Memoize a value scored outside ``rank_value``, such as a ``drop_values`` entry."""
+    ranks._cache[(receiver, mask)] = value

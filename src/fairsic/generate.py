@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .channels import DmcChannel, GaussianChannel, TabulatedRanks
+from .axioms import MAX_VALIDATABLE_USERS
+from .channels import DEFAULT_DMC_TERM_CAP, DmcChannel, GaussianChannel, TabulatedRanks
 from .errors import ValidationError
 
 GAIN_RANGE = (0.05, 2.0)
@@ -97,6 +98,15 @@ def generate_channel(
         raise ValidationError(f"user count must be at least 1, got {num_users}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
+    # Refused before any draw: past the axiom gate's K, or past one rank value's memory cap.
+    if kind == "tabulated-submodular" and num_users > MAX_VALIDATABLE_USERS:
+        raise ValidationError(
+            f"tabulated-submodular is limited to K <= {MAX_VALIDATABLE_USERS}, got K = {num_users}"
+        )
+    if kind == "dmc" and 2 << num_users > DEFAULT_DMC_TERM_CAP:  # 2^K inputs x 2 outputs
+        raise ValidationError(
+            f"dmc at K = {num_users} exceeds the rank term cap of {DEFAULT_DMC_TERM_CAP}"
+        )
     rng = rng_from_seed(seed)
     if kind == "gaussian":
         return random_gaussian_channel(num_users, rng, power=power, noise=noise)

@@ -9,9 +9,9 @@ orders; where two removals leave exactly tied rank values although the
 powers differ, the two orders can differ, and the greedy is the contract.
 
 DMC and tabulated candidates are scored by one rank evaluation each,
-O(K^4) per profile.  Gaussian candidates are scored together from one
-exact integer subset sum, to the same floats, in O(K^3) per profile (see
-``greedy_order``).
+O(K^4) per profile; Gaussian candidates are scored together by
+``GaussianChannel.drop_values``, O(K^3) per profile, to the same floats
+(``TestGaussianGreedyMatchesLoop`` pins the orders and rates).
 
 Argmin ties are broken by exact float equality: prefer users other than
 the receiver's own (so ties are decoded rather than skipped), then the
@@ -31,6 +31,7 @@ from .channels import (
     TabulatedRanks,
     check_receiver,
     rank_value,
+    store_rank_value,
 )
 from .errors import NonRankInputError
 from .ordering import DecodingOrder, DecodingProfile, decoded_set, decoder_set
@@ -78,12 +79,9 @@ def greedy_order(
 
     Depends only on this receiver's rank function; other receivers never
     enter the argmin.  DMC and tabulated candidates are scored by one
-    ``rank_value`` call each, O(K^3) per receiver.  Gaussian candidates are
-    scored together by ``drop_values``, O(K^2) per receiver: every finite
-    double is an integer multiple of 2**-1074, so the remaining powers sum
-    exactly as an int, and int true division is correctly rounded, as
-    ``math.fsum`` is.  So each score is bit-identical to ``rank_value`` of
-    the same set and no order or tie-break changes.
+    ``rank_value`` call each, O(K^3) per receiver; Gaussian candidates by
+    one ``drop_values`` call per slot, O(K^2) per receiver, to the same
+    orders, as ``TestGaussianGreedyMatchesLoop`` pins.
     """
     check_receiver(ranks.num_users, receiver)
     ensure_rank_input(ranks, tol=tol, force=force)
@@ -97,13 +95,15 @@ def greedy_order(
             values = backend.drop_values(receiver, mask)
         else:
             values = {c: rank_value(ranks, receiver, remaining - {c}) for c in sorted(remaining)}
-        chosen = min(values, key=lambda c: (values[c], c == receiver, c))
+        best = min(values.values())
+        # Ascending users: the first tied one that is not the receiver's own.
+        chosen = next((c for c, v in values.items() if v == best and c != receiver), receiver)
         sequence.append(chosen)
         remaining.discard(chosen)
         mask ^= 1 << (chosen - 1)
         if gaussian:
-            # Cached through the traced name: the sets left after each
-            # choice are the prefixes rate_vector reads next.
+            # The prefix rate_vector reads next is scored: store it, then hit it.
+            store_rank_value(ranks, receiver, mask, values[chosen])
             rank_value(ranks, receiver, remaining)
         if chosen == receiver:
             return DecodingOrder.from_decode_sequence(

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import fairsic.channels
+import fairsic.generate
 from fairsic import ValidationError, generate_channel
 from fairsic.cli import main
 
@@ -348,6 +349,32 @@ class TestGen:
     def test_generate_channel_refuses_negative_seed(self, kind):
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
             generate_channel(kind, 2, -1)
+
+    @pytest.mark.parametrize("kind, num_users", [("tabulated-submodular", 13), ("dmc", 24)])
+    def test_sizes_no_command_accepts_refused_before_drawing(
+        self, capsys, monkeypatch, kind, num_users
+    ):
+        def never(seed):
+            raise AssertionError("the generator was reached")
+
+        monkeypatch.setattr(fairsic.generate, "rng_from_seed", never)
+        code, out, err = run(capsys, "gen", "--kind", kind, "--k", str(num_users), "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"K = {num_users}" in err
+
+    @pytest.mark.parametrize("kind, num_users", [("tabulated-submodular", 12), ("dmc", 23)])
+    def test_largest_accepted_sizes_reach_the_generator(self, monkeypatch, kind, num_users):
+        class Reached(Exception):
+            pass
+
+        def reached(seed):
+            raise Reached
+
+        monkeypatch.setattr(fairsic.generate, "rng_from_seed", reached)
+        with pytest.raises(Reached):
+            generate_channel(kind, num_users, 3)
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "gaussian", "--seed", "3")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -307,6 +308,15 @@ def assert_matches_loop(channel: GaussianChannel) -> None:
     assert [r.hex() for r in report.rates] == [r.hex() for r in expected]
 
 
+def assert_drops_are_rank_values(channel: GaussianChannel) -> None:
+    ranks = RankFunctionSet.for_channel(channel)
+    for receiver in range(1, channel.num_users + 1):
+        for mask in range(1 << channel.num_users):
+            users = mask_users(mask)
+            for user, value in channel.drop_values(receiver, mask).items():
+                assert value.hex() == rank_value(ranks, receiver, users - {user}).hex()
+
+
 class TestGaussianGreedyMatchesLoop:
     @settings(max_examples=200, deadline=None)
     @given(hard_gaussian_channels())
@@ -325,6 +335,39 @@ class TestGaussianGreedyMatchesLoop:
             np.ones(3),
         )
         assert_matches_loop(channel)
+
+    def test_subnormal_next_to_huge_gain(self):
+        # Rows spanning 1e15 down to a subnormal: their scaled ints pass 2**1023.
+        channel = GaussianChannel(
+            np.array([[5e-324, 1e15, 1.0], [1e-300, 3e-310, 1e15], [1.0] * 3]),
+            np.ones(3),
+            np.ones(3),
+        )
+        for ints, _, _ in channel._scaled_rows[:2]:
+            assert sum(ints) >= 2**1023
+        assert_matches_loop(channel)
+        assert_drops_are_rank_values(channel)
+
+    def test_candidate_sum_lands_subnormal(self):
+        # Tiny noise makes the subnormal sums left after dropping 1e-300 count.
+        channel = GaussianChannel(
+            np.array([[5e-324, 3e-310, 1e-300], [1e-310, 2e-310, 3e-310], [1.0] * 3]),
+            np.ones(3),
+            np.array([5e-324, 1e-320, 1.0]),
+        )
+        left = 5e-324 + 3e-310  # exact, below the least normal float
+        assert left < sys.float_info.min
+        assert channel.drop_values(1, 0b111)[3] == math.log2(1.0 + left / 5e-324)
+        assert_matches_loop(channel)
+        assert_drops_are_rank_values(channel)
+
+    def test_all_zero_gains(self):
+        channel = GaussianChannel(
+            np.array([[0.0, -0.0, 0.0], [1.0, 0.0, 2.0], [0.0] * 3]), np.ones(3), np.ones(3)
+        )
+        assert channel.drop_values(1, 0b111) == {1: 0.0, 2: 0.0, 3: 0.0}
+        assert_matches_loop(channel)
+        assert_drops_are_rank_values(channel)
 
     @settings(max_examples=100, deadline=None)
     @given(hard_gaussian_channels(max_users=5))
@@ -348,15 +391,32 @@ class TestGaussianGreedyMatchesLoop:
         inner = fairsic.greedy.rank_value
 
         def counting(ranks, receiver, users):
-            calls.append(frozenset(users))
+            users = frozenset(users)
+            mask = sum(1 << (user - 1) for user in users)
+            calls.append((users, (receiver, mask) in ranks._cache))
             return inner(ranks, receiver, users)
 
+        evaluations = []
+        evaluate = GaussianChannel._rank
+
+        def counting_rank(channel, receiver, mask):
+            evaluations.append(receiver)
+            return evaluate(channel, receiver, mask)
+
         monkeypatch.setattr(fairsic.greedy, "rank_value", counting)
+        monkeypatch.setattr(GaussianChannel, "_rank", counting_rank)
         ranks = RankFunctionSet.for_channel(random_gaussian_channel(6, rng_from_seed(5)))
         order = greedy_order(ranks, 3)
+        assert len(evaluations) <= 1
         sequence = decode_sequence(order)
         assert len(calls) == len(sequence)
         left = set(range(1, 7))
-        for chosen, users in zip(sequence, calls):
+        for chosen, (users, _) in zip(sequence, calls):
             left.discard(chosen)
             assert users == left
+        for receiver in (1, 2, 4, 5, 6):
+            evaluations.clear()
+            greedy_order(ranks, receiver)
+            assert len(evaluations) <= 1
+        # Each prefix is stored as scored, so every traced call is a memo hit.
+        assert all(hit for _, hit in calls)
