@@ -50,11 +50,9 @@ from .oracle import (
 from .ordering import (
     DecodingOrder,
     DecodingProfile,
-    canonicalize,
     decode_sequence,
     decoded_set,
     decoder_set,
-    position_of,
     render_order,
     undecoded_prefix,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "TabulatedRanks",
     "ValidationError",
     "brute_force_maxmin",
-    "canonicalize",
     "certify",
     "count_orders",
     "decode_sequence",
@@ -107,7 +104,6 @@ __all__ = [
     "load_scenario",
     "min_rate",
     "parse_scenario",
-    "position_of",
     "random_dmc_channel",
     "random_gaussian_channel",
     "random_submodular_tables",

@@ -28,6 +28,7 @@ from .channels import (
     TabulatedRanks,
     check_receiver,
     rank_value,
+    subsets_in_mask_order,
 )
 from .errors import ValidationError
 
@@ -79,9 +80,7 @@ def subset_value_table(ranks: RankFunctionSet, receiver: int) -> np.ndarray:
         check_receiver(backend.num_users, receiver)
         table = backend.tables[receiver - 1]
         return np.fromiter(table.values(), float, len(table))
-    subsets = [frozenset()]  # in mask order: user k added doubles the list
-    for user in range(1, ranks.num_users + 1):
-        subsets += [users | {user} for users in subsets]
+    subsets = subsets_in_mask_order(ranks.num_users)
     return np.array([rank_value(ranks, receiver, users) for users in subsets])
 
 

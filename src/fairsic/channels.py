@@ -54,6 +54,14 @@ def mask_users(mask: int) -> frozenset[int]:
     return frozenset(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
+def subsets_in_mask_order(num_users: int) -> list[tuple[int, ...]]:
+    """Every user subset as a sorted tuple; entry m is the subset of mask m."""
+    subsets = [()]  # user k added doubles the list
+    for user in range(1, num_users + 1):
+        subsets += [users + (user,) for users in subsets]
+    return subsets
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     array = np.array(array, dtype=float)  # a copy: the caller's array stays writable
     array.setflags(write=False)
@@ -294,7 +302,7 @@ def dmc_rank_value(channel: DmcChannel, receiver: int, users: Iterable[int]) -> 
 
 @dataclass(frozen=True)
 class TabulatedRanks:
-    """Explicit per-receiver tables mapping every user subset to a value.
+    """Explicit per-receiver tables mapping every subset bitmask to a value.
 
     Construction requires a complete table (all 2^K subsets per receiver)
     of finite, nonnegative real numbers, bools refused, and keeps its own
@@ -306,26 +314,6 @@ class TabulatedRanks:
     kind: ClassVar[str] = "tabulated"
     num_users: int
     tables: tuple[Mapping[int, float], ...]  # per receiver: mask -> value
-
-    @classmethod
-    def from_subsets(
-        cls,
-        num_users: int,
-        tables: Iterable[Iterable[tuple[Iterable[int], float]]],
-    ) -> "TabulatedRanks":
-        """Build from per-receiver (user list, value) pairs, each subset listed once."""
-        packed: list[dict[int, float]] = []
-        for j, entries in enumerate(tables, start=1):
-            table: dict[int, float] = {}
-            for users, value in entries:
-                mask = check_users(num_users, users)
-                if mask in table:
-                    raise ValidationError(
-                        f"tables of receiver {j} list subset {sorted(mask_users(mask))} twice"
-                    )
-                table[mask] = value
-            packed.append(table)
-        return cls(num_users, tuple(packed))
 
     def __post_init__(self) -> None:
         if self.num_users < 1:

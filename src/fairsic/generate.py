@@ -12,7 +12,13 @@ import math
 import numpy as np
 
 from .axioms import MAX_VALIDATABLE_USERS
-from .channels import DEFAULT_DMC_TERM_CAP, DmcChannel, GaussianChannel, TabulatedRanks
+from .channels import (
+    DEFAULT_DMC_TERM_CAP,
+    DmcChannel,
+    GaussianChannel,
+    TabulatedRanks,
+    subsets_in_mask_order,
+)
 from .errors import ValidationError
 
 GAIN_RANGE = (0.05, 2.0)
@@ -73,16 +79,16 @@ def random_submodular_tables(
     The generating form satisfies the rank axioms, so these tables always
     pass validation.
     """
+    subsets = subsets_in_mask_order(num_users)
     tables = []
     for _ in range(num_users):
-        weights = rng.uniform(*WEIGHT_RANGE, size=num_users)
-        table = {}
-        for mask in range(1 << num_users):
-            members = [k for k in range(num_users) if mask >> k & 1]
-            table[mask] = math.log2(
-                1.0 + math.fsum(float(weights[k]) for k in members)
-            )
-        tables.append(table)
+        weights = rng.uniform(*WEIGHT_RANGE, size=num_users).tolist()
+        tables.append(
+            {
+                mask: math.log2(1.0 + math.fsum(weights[u - 1] for u in users))
+                for mask, users in enumerate(subsets)
+            }
+        )
     return TabulatedRanks(num_users, tuple(tables))
 
 
@@ -98,14 +104,16 @@ def generate_channel(
         raise ValidationError(f"user count must be at least 1, got {num_users}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    # Refused before any draw: past the axiom gate's K, or past one rank value's memory cap.
+    # Refused before any draw: past the axiom gate's K, or once the transition
+    # entries (K receivers x 2^K inputs x 2 outputs) pass one rank value's cap.
     if kind == "tabulated-submodular" and num_users > MAX_VALIDATABLE_USERS:
         raise ValidationError(
             f"tabulated-submodular is limited to K <= {MAX_VALIDATABLE_USERS}, got K = {num_users}"
         )
-    if kind == "dmc" and 2 << num_users > DEFAULT_DMC_TERM_CAP:  # 2^K inputs x 2 outputs
+    if kind == "dmc" and num_users * 2 << num_users > DEFAULT_DMC_TERM_CAP:
         raise ValidationError(
-            f"dmc at K = {num_users} exceeds the rank term cap of {DEFAULT_DMC_TERM_CAP}"
+            f"dmc at K = {num_users} needs {num_users * 2 << num_users} transition entries, "
+            f"past the cap of {DEFAULT_DMC_TERM_CAP}"
         )
     rng = rng_from_seed(seed)
     if kind == "gaussian":

@@ -68,11 +68,6 @@ class DecodingOrder:
         return cls(receiver, perm, num_users - len(sequence) + 1)
 
 
-def position_of(order: DecodingOrder, user: int) -> int:
-    """Position of ``user`` in the order (1-based; K is decoded first)."""
-    return order.perm.index(user) + 1
-
-
 def decoded_set(order: DecodingOrder) -> frozenset[int]:
     """Users actually decoded at this receiver (suffix ending at its own user)."""
     return frozenset(order.perm[order.decoded_from - 1 :])
@@ -85,13 +80,6 @@ def decode_sequence(order: DecodingOrder) -> tuple[int, ...]:
 
 def undecoded_prefix(order: DecodingOrder) -> tuple[int, ...]:
     return order.perm[: order.decoded_from - 1]
-
-
-def canonicalize(order: DecodingOrder) -> DecodingOrder:
-    """Sort the undecoded prefix ascending; the decoded suffix is untouched."""
-    prefix = tuple(sorted(undecoded_prefix(order)))
-    suffix = order.perm[order.decoded_from - 1 :]
-    return DecodingOrder(order.receiver, prefix + suffix, order.decoded_from)
 
 
 def render_order(order: DecodingOrder) -> str:

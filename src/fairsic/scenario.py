@@ -9,15 +9,23 @@ written scenario parses back to bit-identical numbers.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
-from .channels import Channel, DmcChannel, GaussianChannel, TabulatedRanks, mask_users
-from .errors import FairsicError, ScenarioParseError
+from .channels import (
+    Channel,
+    DmcChannel,
+    GaussianChannel,
+    TabulatedRanks,
+    check_users,
+    mask_users,
+    subsets_in_mask_order,
+)
+from .errors import FairsicError, ScenarioParseError, ValidationError
 
 
 def _check_fields(doc: Mapping[str, Any], expected: set[str]) -> None:
@@ -90,14 +98,6 @@ def _parse_dmc(doc: Mapping[str, Any]) -> DmcChannel:
     return channel
 
 
-def _sorted_subsets(num_users: int) -> dict[tuple[int, ...], int]:
-    """Each user subset as a sorted tuple, mapped to its bitmask."""
-    subsets = [()]  # in mask order: user k added doubles the list
-    for user in range(1, num_users + 1):
-        subsets += [users + (user,) for users in subsets]
-    return dict(zip(subsets, range(len(subsets))))
-
-
 def _indexed_table(entries: list, index: dict[tuple[int, ...], int]) -> dict | None:
     """Mask -> value when every user list is a key of ``index``, none twice.
 
@@ -111,10 +111,29 @@ def _indexed_table(entries: list, index: dict[tuple[int, ...], int]) -> dict | N
     return table if None not in table and len(table) == len(entries) else None
 
 
+def _listed_table(num_users: int, j: int, entries: list) -> dict:
+    """Mask -> value, each user list checked on its own: int users, sorted,
+    in range and not listed twice; a repeated user counts once."""
+    table = {}
+    for users, value in entries:
+        if not all(type(u) is int for u in users) or users != sorted(users):
+            raise ScenarioParseError(
+                f"field 'tables' receiver {j}: subsets must be sorted "
+                f"integer lists, got {users}"
+            )
+        mask = check_users(num_users, users)
+        if mask in table:
+            raise ValidationError(
+                f"tables of receiver {j} list subset {sorted(mask_users(mask))} twice"
+            )
+        table[mask] = value
+    return table
+
+
 def _parse_tabulated(doc: Mapping[str, Any]) -> TabulatedRanks:
     num_users = doc["K"]
     index = None
-    masked: list[dict] | None = []  # per receiver while every list is indexed
+    tables = []
     for j, entries in enumerate(doc["tables"], start=1):
         if not isinstance(entries, list) or not all(
             isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)
@@ -124,30 +143,16 @@ def _parse_tabulated(doc: Mapping[str, Any]) -> TabulatedRanks:
                 f"field 'tables' receiver {j}: entries must be "
                 f"[[sorted user indices], value] pairs"
             )
-        if masked is not None:
-            table = None
-            # Fewer than 2^K entries cannot be complete: no index, which
-            # keeps its size bounded by the file.
-            if len(entries) >= 1 << num_users:
-                if index is None:
-                    index = _sorted_subsets(num_users)
-                table = _indexed_table(entries, index)
-            if table is not None:
-                masked.append(table)
-                continue
-            masked = None
-        # Off the indexed path every list is checked on its own, so each
-        # refusal keeps its message.
-        for users, _ in entries:
-            if not all(type(u) is int for u in users) or users != sorted(users):
-                raise ScenarioParseError(
-                    f"field 'tables' receiver {j}: subsets must be sorted "
-                    f"integer lists, got {users}"
-                )
+        table = None
+        # Fewer than 2^K entries cannot be complete: no index, which keeps
+        # its size bounded by the file.
+        if len(entries) >= 1 << num_users:
+            if index is None:
+                index = dict(zip(subsets_in_mask_order(num_users), count()))
+            table = _indexed_table(entries, index)
+        tables.append(_listed_table(num_users, j, entries) if table is None else table)
     # The values go in as JSON gave them: the constructor types and checks each.
-    if masked is not None:
-        return TabulatedRanks(num_users, tuple(masked))
-    return TabulatedRanks.from_subsets(num_users, doc["tables"])
+    return TabulatedRanks(num_users, tuple(tables))
 
 
 # kind -> (parser, the per-user fields that sit beside "kind" and "K")
@@ -225,12 +230,11 @@ def scenario_doc(channel: Channel) -> dict[str, Any]:
             ],
         }
     if isinstance(channel, TabulatedRanks):
-        tables = []
-        for table in channel.tables:
-            entries = []
-            for mask in sorted(table):
-                entries.append([sorted(mask_users(mask)), float(table[mask])])
-            tables.append(entries)
+        subsets = subsets_in_mask_order(channel.num_users)
+        tables = [
+            [[list(users), value] for users, value in zip(subsets, table.values())]
+            for table in channel.tables
+        ]
         return {"kind": "tabulated", "K": channel.num_users, "tables": tables}
     raise TypeError(f"unsupported channel type: {type(channel)!r}")
 

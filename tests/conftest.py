@@ -48,8 +48,4 @@ def xor_dmc_channel() -> DmcChannel:
 
 def tabulated_from_values(values_per_receiver) -> TabulatedRanks:
     """Build a K=2 tabulated backend from (empty, {1}, {2}, {1,2}) values."""
-    subsets = [[], [1], [2], [1, 2]]
-    tables = [
-        list(zip(subsets, values)) for values in values_per_receiver
-    ]
-    return TabulatedRanks.from_subsets(2, tables)
+    return TabulatedRanks(2, tuple(dict(enumerate(values)) for values in values_per_receiver))

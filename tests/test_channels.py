@@ -313,7 +313,7 @@ class TestTabulated:
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(IncompleteTableError):
-            TabulatedRanks.from_subsets(2, [[([], 0.0), ([1], 1.0)]] * 2)
+            TabulatedRanks(2, ({0: 0.0, 1: 1.0},) * 2)
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValidationError):
@@ -361,11 +361,6 @@ class TestTabulated:
         with pytest.raises(ValidationError) as excinfo:
             TabulatedRanks(2, (good, {**good, 2: bad}))
         assert str(excinfo.value) == f"tables entry of receiver 2 for [2] {message}"
-
-    def test_duplicate_subset_rejected(self):
-        entries = [([], 0.0), ([1], 0.5), ([2], 0.7), ([1, 2], 1.0), ([1], 0.6)]
-        with pytest.raises(ValidationError, match=r"subset \[1\] twice"):
-            TabulatedRanks.from_subsets(2, [entries, entries[:4]])
 
     def test_caller_dicts_stay_detached(self):
         tables = ({0: 0.0, 1: 0.5, 2: 0.7, 3: 1.5}, {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -314,6 +315,24 @@ class TestGen:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # SHA-256 of the stdout, pinned so that a writer or generator change
+    # that alters the bytes cannot pass unseen.
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("gaussian", "269045883725c7a57df2976b996eb2dc8f1566ac1131f9e595410c05e73650b2"),
+            ("dmc", "be9e38d47827fb471d5a24606c15b1d90a37951b01dc676ba0e88128e264fa61"),
+            (
+                "tabulated-submodular",
+                "e7f2989af49b9f9f1df490eeb741da2aa044d045218262c6218efaa3dedf65a0",
+            ),
+        ],
+    )
+    def test_gen_bytes_are_pinned(self, capsys, kind, digest):
+        code, out, _ = run(capsys, "gen", "--kind", kind, "--k", "4", "--seed", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_different_seed_differs(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "gen", "--kind", "gaussian", "--seed", "7", "--out", str(a))
@@ -350,7 +369,9 @@ class TestGen:
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
             generate_channel(kind, 2, -1)
 
-    @pytest.mark.parametrize("kind, num_users", [("tabulated-submodular", 13), ("dmc", 24)])
+    @pytest.mark.parametrize(
+        "kind, num_users", [("tabulated-submodular", 13), ("dmc", 19), ("dmc", 24)]
+    )
     def test_sizes_no_command_accepts_refused_before_drawing(
         self, capsys, monkeypatch, kind, num_users
     ):
@@ -364,7 +385,7 @@ class TestGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"K = {num_users}" in err
 
-    @pytest.mark.parametrize("kind, num_users", [("tabulated-submodular", 12), ("dmc", 23)])
+    @pytest.mark.parametrize("kind, num_users", [("tabulated-submodular", 12), ("dmc", 18)])
     def test_largest_accepted_sizes_reach_the_generator(self, monkeypatch, kind, num_users):
         class Reached(Exception):
             pass

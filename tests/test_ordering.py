@@ -1,16 +1,12 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fairsic import (
     DecodingOrder,
     DecodingProfile,
     ValidationError,
-    canonicalize,
     decode_sequence,
     decoded_set,
     decoder_set,
-    position_of,
     render_order,
     undecoded_prefix,
 )
@@ -18,19 +14,6 @@ from fairsic import (
 
 def order_of(receiver, perm):
     return DecodingOrder(receiver, perm, perm.index(receiver) + 1)
-
-
-class TestPositionOf:
-    def test_single_user(self):
-        assert position_of(order_of(1, (1,)), 1) == 1
-
-    def test_two_users(self):
-        order = order_of(1, (1, 2))
-        assert position_of(order, 1) == 1
-        assert position_of(order, 2) == 2
-
-    def test_three_users(self):
-        assert position_of(order_of(3, (2, 3, 1)), 1) == 3
 
 
 class TestDecodedSet:
@@ -63,28 +46,6 @@ class TestDecoderSet:
         profile = DecodingProfile.from_decode_sequences([(1,), (3, 2), (3,)])
         for user in (1, 2, 3):
             assert user in decoder_set(profile, user)
-
-
-class TestCanonicalize:
-    def test_sorts_prefix(self):
-        order = DecodingOrder(3, (2, 1, 3), 3)
-        assert canonicalize(order).perm == (1, 2, 3)
-
-    def test_idempotent(self):
-        order = DecodingOrder(3, (2, 1, 3), 3)
-        once = canonicalize(order)
-        assert canonicalize(once) == once
-
-    def test_empty_prefix_unchanged(self):
-        order = order_of(1, (1, 2))
-        assert canonicalize(order) == order
-
-    def test_preserves_decoded_suffix(self):
-        order = DecodingOrder(2, (3, 1, 2, 4), 3)
-        canonical = canonicalize(order)
-        assert canonical.perm == (1, 3, 2, 4)
-        assert decode_sequence(canonical) == decode_sequence(order)
-        assert decoded_set(canonical) == decoded_set(order)
 
 
 class TestConstruction:
@@ -122,25 +83,3 @@ class TestRendering:
     def test_larger(self):
         order = DecodingOrder.from_decode_sequence(2, (3, 1, 2), 4)
         assert render_order(order) == "2: [4] 3, 1, 2"
-
-
-@st.composite
-def random_orders(draw):
-    num_users = draw(st.integers(min_value=1, max_value=7))
-    receiver = draw(st.integers(min_value=1, max_value=num_users))
-    perm = tuple(draw(st.permutations(range(1, num_users + 1))))
-    return DecodingOrder(receiver, perm, perm.index(receiver) + 1)
-
-
-@given(random_orders())
-def test_position_and_perm_are_inverse(order):
-    for position, user in enumerate(order.perm, start=1):
-        assert position_of(order, user) == position
-
-
-@given(random_orders())
-def test_canonicalize_idempotent_and_suffix_preserving(order):
-    canonical = canonicalize(order)
-    assert canonicalize(canonical) == canonical
-    assert decode_sequence(canonical) == decode_sequence(order)
-    assert undecoded_prefix(canonical) == tuple(sorted(undecoded_prefix(order)))

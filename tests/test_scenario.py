@@ -275,10 +275,7 @@ SUBSET_LIST_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SUBSET_LIST_REFUSALS))
-def test_subset_list_refusal_messages(name, tmp_path, capsys):
-    entries, message = SUBSET_LIST_REFUSALS[name]
-    doc = _receiver_1_table(entries)
+def _assert_refused(doc, message, tmp_path, capsys):
     with pytest.raises(ScenarioParseError) as excinfo:
         parse_scenario(doc)
     assert str(excinfo.value) == message
@@ -286,6 +283,37 @@ def test_subset_list_refusal_messages(name, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, receiver",
+    [pytest.param(name, 1, id=name) for name in sorted(SUBSET_LIST_REFUSALS)]
+    + [
+        pytest.param(name, 2, id=f"{name} at receiver 2")
+        for name in sorted(SUBSET_LIST_REFUSALS)
+    ],
+)
+def test_subset_list_refusal_messages(name, receiver, tmp_path, capsys):
+    entries, message = SUBSET_LIST_REFUSALS[name]
+    if receiver == 1:
+        doc = _receiver_1_table(entries)
+    else:  # receiver 1 clean: it takes the indexed path, receiver 2 does not
+        doc = dict(TABULATED_DOC, tables=[TABULATED_DOC["tables"][0], entries])
+        message = message.replace("receiver 1", "receiver 2")
+    _assert_refused(doc, message, tmp_path, capsys)
+
+
+def test_first_faulty_list_in_file_order_is_reported(tmp_path, capsys):
+    # An out-of-range user, then an unsorted list in the same table and a
+    # bool user at receiver 2: the out-of-range user comes first in the file.
+    doc = dict(
+        TABULATED_DOC,
+        tables=[
+            [[[], 0.0], [[3], 0.5], [[2], 0.7], [[2, 1], 1.0]],
+            [[[], 0.0], [[True], 0.1], [[2], 0.2], [[1, 2], 0.3]],
+        ],
+    )
+    _assert_refused(doc, "invalid tabulated scenario: user 3 out of range 1..2", tmp_path, capsys)
 
 
 def test_repeated_user_stands_for_the_user_once():
