@@ -13,7 +13,6 @@ from .channels import (
     RankFunctionSet,
     TabulatedRanks,
     dmc_rank_value,
-    gaussian_rank_value,
     rank_value,
 )
 from .errors import (
@@ -96,7 +95,6 @@ __all__ = [
     "dump_scenario",
     "enumerate_orders",
     "gaussian_fast_order",
-    "gaussian_rank_value",
     "gaussian_rate_formula",
     "generate_channel",
     "greedy_order",

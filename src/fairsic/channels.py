@@ -20,8 +20,8 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from typing import ClassVar, Iterable, Mapping, Union
+from itertools import chain, islice
+from typing import Any, ClassVar, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -62,10 +62,36 @@ def subsets_in_mask_order(num_users: int) -> list[tuple[int, ...]]:
     return subsets
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array = np.array(array, dtype=float)  # a copy: the caller's array stays writable
-    array.setflags(write=False)
-    return array
+def _numbers(value: Any, label: str, depth: int = 1) -> Any:
+    """Type ``value`` as a float (``depth`` 0), a tuple of floats (1) or a
+    tuple of equal-length float rows (2); ``label`` names it in errors.
+
+    Bools, strings, nested entries, ragged rows and integers too large for
+    a float are refused.  Every shape check past that belongs to the caller.
+    """
+    if not depth:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{label} must be a real number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{label} is too large for a float") from None
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        kind = "rows of numbers" if depth > 1 else "numbers"
+        raise ValidationError(f"{label} must be a list of {kind}, got {value!r}")
+    values = tuple(value)
+    if depth > 1:
+        # Parsed JSON, lists of floats only, needs no conversion: checked at C speed.
+        entries = chain.from_iterable(values)
+        if set(map(type, values)) <= {list} and set(map(type, entries)) <= {float}:
+            rows = tuple(map(tuple, values))
+        else:
+            rows = tuple(_numbers(row, f"row {i} of {label}") for i, row in enumerate(values))
+        if len(set(map(len, rows))) > 1:
+            raise ValidationError(f"{label} rows must all have the same length")
+        return rows
+    label = f"an entry of {label}"
+    return tuple(_numbers(entry, label, 0) for entry in values)
 
 
 def _check_pmfs(rows: np.ndarray, label: str) -> None:
@@ -96,41 +122,44 @@ def _product_pmf(pmfs: Iterable[np.ndarray]) -> np.ndarray:
 class GaussianChannel:
     """Gaussian interference channel: gains, transmit powers, noise variances.
 
-    ``gains[j-1, i-1]`` is the power gain from transmitter i to receiver j.
+    ``gains[j-1][i-1]`` is the power gain from transmitter i to receiver j.
+    Every field is a tuple of floats (rows of them for the matrices).
     ``received_powers`` caches gains * powers so that rank evaluation and
     the descending-power fast path sort on bit-identical keys.
     """
 
     kind: ClassVar[str] = "gaussian"
-    gains: np.ndarray
-    powers: np.ndarray
-    noise_vars: np.ndarray
-    received_powers: np.ndarray = field(init=False, repr=False, compare=False)
+    gains: tuple[tuple[float, ...], ...]
+    powers: tuple[float, ...]
+    noise_vars: tuple[float, ...]
+    received_powers: tuple[tuple[float, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        gains = _freeze(self.gains)
-        powers = _freeze(self.powers)
-        noise_vars = _freeze(self.noise_vars)
-        num_users = powers.shape[0] if powers.ndim == 1 else 0
+        gains = _numbers(self.gains, "gains", 2)
+        powers = _numbers(self.powers, "powers")
+        noise_vars = _numbers(self.noise_vars, "noise_vars")
+        num_users = len(powers)
         if num_users < 1:
             raise ValidationError("powers must be a non-empty 1-D vector")
-        if gains.shape != (num_users, num_users):
-            raise ValidationError(
-                f"gains must be {num_users}x{num_users}, got {gains.shape}"
-            )
-        if noise_vars.shape != (num_users,):
+        shape = (len(gains), *{len(row) for row in gains})
+        if shape != (num_users, num_users):
+            raise ValidationError(f"gains must be {num_users}x{num_users}, got {shape}")
+        if len(noise_vars) != num_users:
             raise ValidationError("noise_vars length must match powers")
-        for name, arr in (("gains", gains), ("powers", powers), ("noise_vars", noise_vars)):
-            if not np.all(np.isfinite(arr)):
+        named = (("gains", chain(*gains)), ("powers", powers), ("noise_vars", noise_vars))
+        for name, values in named:
+            if not all(map(math.isfinite, values)):
                 raise ValidationError(f"{name} contains non-finite entries")
-        if np.any(gains < 0) or np.any(powers < 0):
+        if min(chain(*gains, powers)) < 0:
             raise ValidationError("gains and powers must be nonnegative")
-        if np.any(noise_vars <= 0):
+        if min(noise_vars) <= 0:
             raise ValidationError("noise_vars must be strictly positive")
-        with np.errstate(over="ignore"):
-            received = _freeze(gains * powers[np.newaxis, :])
+        # IEEE products: one that overflows is inf, refused below.
+        received = tuple(tuple(map(operator.mul, row, powers)) for row in gains)
         # The terms are nonnegative, so the full set bounds every subset sum.
-        for j, (row, noise) in enumerate(zip(received.tolist(), noise_vars.tolist()), start=1):
+        for j, (row, noise) in enumerate(zip(received, noise_vars), start=1):
             try:
                 total = math.fsum(row)
             except OverflowError:
@@ -147,21 +176,21 @@ class GaussianChannel:
 
     @cached_property
     def num_users(self) -> int:
-        return self.powers.shape[0]
+        return len(self.powers)
 
     def _rank(self, receiver: int, mask: int) -> float:
         if not mask:
             return 0.0
-        row = self.received_powers[receiver - 1].tolist()
+        row = self.received_powers[receiver - 1]
         # Bit k-1 of the mask, read from the lowest: user k's received power.
         interference = math.fsum(p for p, bit in zip(row, bin(mask)[:1:-1]) if bit == "1")
-        return math.log2(1.0 + interference / float(self.noise_vars[receiver - 1]))
+        return math.log2(1.0 + interference / self.noise_vars[receiver - 1])
 
     @cached_property
     def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int, float], ...]:
         """Per receiver ``(ints, scale, noise)``: power k is exactly ``ints[k] / scale``."""
         rows = []
-        for row, noise in zip(self.received_powers.tolist(), self.noise_vars.tolist()):
+        for row, noise in zip(self.received_powers, self.noise_vars):
             ratios = [p.as_integer_ratio() for p in row]  # denominators are powers of two
             scale = max(d for _, d in ratios)
             ints = tuple(n << scale.bit_length() - d.bit_length() for n, d in ratios)
@@ -182,17 +211,6 @@ class GaussianChannel:
         return {k + 1: math.log2(1.0 + (total - ints[k]) / scale / noise) for k in members}
 
 
-def gaussian_rank_value(channel: GaussianChannel, receiver: int, users: Iterable[int]) -> float:
-    """Rank value log2(1 + sum of received powers over the set / noise).
-
-    The subset sum is ``math.fsum``, which is correctly rounded and so
-    independent of term order: identical sets always produce bit-identical
-    values and sets with equal received-power multisets tie exactly.
-    """
-    check_receiver(channel.num_users, receiver)
-    return channel._rank(receiver, check_users(channel.num_users, users))
-
-
 @dataclass(frozen=True)
 class DmcChannel:
     """Discrete memoryless channel restricted to per-receiver output marginals.
@@ -210,8 +228,14 @@ class DmcChannel:
     joint_input_pmf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pmfs = tuple(_freeze(p) for p in self.input_pmfs)
-        tables = tuple(_freeze(t) for t in self.transitions)
+        pmfs = tuple(
+            np.array(_numbers(pmf, f"input_pmfs of user {k}"))
+            for k, pmf in enumerate(self.input_pmfs, start=1)
+        )
+        tables = tuple(
+            np.array(_numbers(table, f"transitions of receiver {j}", 2))
+            for j, table in enumerate(self.transitions, start=1)
+        )
         num_users = len(pmfs)
         if num_users < 1:
             raise ValidationError("at least one user required")
@@ -219,7 +243,7 @@ class DmcChannel:
             raise ValidationError("one transition table per receiver required")
         joint = 1
         for k, pmf in enumerate(pmfs, start=1):
-            if pmf.ndim != 1 or pmf.shape[0] < 1:
+            if not pmf.size:
                 raise ValidationError(f"input pmf of user {k} must be a 1-D vector")
             _check_pmfs(pmf[np.newaxis], f"input pmf of user {k}")
             joint *= pmf.shape[0]
@@ -230,9 +254,12 @@ class DmcChannel:
                     f"joint input tuple of input pmfs of sizes {[p.shape[0] for p in pmfs]}"
                 )
             _check_pmfs(table, f"transition row {{}} of receiver {j}")
+        joint_pmf = _product_pmf(pmfs)
+        for array in (*pmfs, *tables, joint_pmf):
+            array.setflags(write=False)
         object.__setattr__(self, "input_pmfs", pmfs)
         object.__setattr__(self, "transitions", tables)
-        object.__setattr__(self, "joint_input_pmf", _freeze(_product_pmf(pmfs)))
+        object.__setattr__(self, "joint_input_pmf", joint_pmf)
 
     @cached_property
     def num_users(self) -> int:
@@ -336,18 +363,8 @@ class TabulatedRanks:
                 value = table[mask]
                 # Parsed JSON gives plain floats; skip the ABC check for them.
                 if type(value) is not float:
-                    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                        raise ValidationError(
-                            f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
-                            f"must be a real number, got {value!r}"
-                        )
-                    try:
-                        value = float(value)
-                    except OverflowError:
-                        raise ValidationError(
-                            f"tables entry of receiver {j} for {sorted(mask_users(mask))} "
-                            "is too large for a float"
-                        ) from None
+                    label = f"tables entry of receiver {j} for {sorted(mask_users(mask))}"
+                    value = _numbers(value, label, 0)
                 if not math.isfinite(value) or value < 0:
                     raise ValidationError(
                         f"tables entry of receiver {j} for {sorted(mask_users(mask))} "

@@ -41,33 +41,31 @@ def random_gaussian_channel(
     noise: float | None = None,
 ) -> GaussianChannel:
     """Gains i.i.d. positive; powers and noise random unless pinned."""
-    gains = rng.uniform(*GAIN_RANGE, size=(num_users, num_users))
+    gains = rng.uniform(*GAIN_RANGE, size=(num_users, num_users)).tolist()
     powers = (
-        np.full(num_users, float(power))
+        [float(power)] * num_users
         if power is not None
-        else rng.uniform(*POWER_RANGE, size=num_users)
+        else rng.uniform(*POWER_RANGE, size=num_users).tolist()
     )
     noise_vars = (
-        np.full(num_users, float(noise))
+        [float(noise)] * num_users
         if noise is not None
-        else rng.uniform(*NOISE_RANGE, size=num_users)
+        else rng.uniform(*NOISE_RANGE, size=num_users).tolist()
     )
     return GaussianChannel(gains, powers, noise_vars)
 
 
-def _random_pmf(rng: np.random.Generator, size: int) -> np.ndarray:
-    raw = rng.uniform(0.05, 1.0, size=size)
-    return raw / raw.sum()
+def _random_pmfs(rng: np.random.Generator, shape: tuple[int, ...]) -> list:
+    """Pmfs along the last axis, drawn in the order one pmf after another would be."""
+    raw = rng.uniform(0.05, 1.0, size=shape)
+    return (raw / raw.sum(axis=-1, keepdims=True)).tolist()
 
 
 def random_dmc_channel(num_users: int, rng: np.random.Generator) -> DmcChannel:
     """Binary-alphabet channel with random valid pmfs everywhere."""
-    pmfs = tuple(_random_pmf(rng, 2) for _ in range(num_users))
+    pmfs = tuple(_random_pmfs(rng, (2,)) for _ in range(num_users))
     joint = 1 << num_users
-    transitions = tuple(
-        np.vstack([_random_pmf(rng, 2) for _ in range(joint)])
-        for _ in range(num_users)
-    )
+    transitions = tuple(_random_pmfs(rng, (joint, 2)) for _ in range(num_users))
     return DmcChannel(pmfs, transitions)
 
 

@@ -149,11 +149,9 @@ def gaussian_fast_order(channel: GaussianChannel, receiver: int) -> DecodingOrde
     """
     check_receiver(channel.num_users, receiver)
     row = channel.received_powers[receiver - 1]
-    own = float(row[receiver - 1])
-    decoded = [
-        k for k in range(1, channel.num_users + 1) if float(row[k - 1]) >= own
-    ]
-    decoded.sort(key=lambda k: (-float(row[k - 1]), k == receiver, k))
+    own = row[receiver - 1]
+    decoded = [k for k in range(1, channel.num_users + 1) if row[k - 1] >= own]
+    decoded.sort(key=lambda k: (-row[k - 1], k == receiver, k))
     return DecodingOrder.from_decode_sequence(receiver, decoded, channel.num_users)
 
 
@@ -170,13 +168,13 @@ def gaussian_rate_formula(channel: GaussianChannel) -> tuple[float, ...]:
     for receiver in range(1, num_users + 1):
         order = gaussian_fast_order(channel, receiver)
         row = channel.received_powers[receiver - 1]
-        noise = float(channel.noise_vars[receiver - 1])
+        noise = channel.noise_vars[receiver - 1]
         for position in range(order.decoded_from, num_users + 1):
             user = order.perm[position - 1]
             later = order.perm[: position - 1]  # fsum is exact: term order is moot
-            interference = math.fsum(float(row[i - 1]) for i in later)
+            interference = math.fsum(row[i - 1] for i in later)
             # Over the noise first: noise plus interference may overflow.
-            cap = math.log2(1.0 + float(row[user - 1]) / noise / (1.0 + interference / noise))
+            cap = math.log2(1.0 + row[user - 1] / noise / (1.0 + interference / noise))
             if cap < best[user - 1]:
                 best[user - 1] = cap
     return tuple(best)

@@ -14,8 +14,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping
 
-import numpy as np
-
 from .channels import (
     Channel,
     DmcChannel,
@@ -45,49 +43,12 @@ def _user_count(doc: Mapping[str, Any]) -> int:
     return num_users
 
 
-def _numbers(value: Any, name: str, *, rows: bool = False) -> np.ndarray:
-    """Type a JSON list of numbers, or with ``rows`` a list of equal-length
-    rows of numbers, as a float array; errors name the field.
-
-    Each call returns an array, so the row lists it builds are freed at once
-    instead of aging into older garbage-collector generations.  Every other
-    shape check belongs to the channel constructor.
-    """
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"field '{name}' must hold lists of numbers")
-    typed = []
-    try:
-        for row in value if rows else [value]:
-            if not isinstance(row, list):
-                raise ScenarioParseError(f"field '{name}' must hold lists of numbers")
-            floats = []
-            for entry in row:
-                if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                    raise ScenarioParseError(f"field '{name}' must contain numbers only")
-                floats.append(float(entry))
-            typed.append(floats)
-    except OverflowError:
-        raise ScenarioParseError(
-            f"field '{name}' holds an integer too large for a float"
-        ) from None
-    if len({len(row) for row in typed}) > 1:
-        raise ScenarioParseError(f"field '{name}' rows must all have the same length")
-    return np.array(typed if rows else typed[0])
-
-
 def _parse_gaussian(doc: Mapping[str, Any]) -> GaussianChannel:
-    return GaussianChannel(
-        _numbers(doc["gains"], "gains", rows=True),
-        _numbers(doc["powers"], "powers"),
-        _numbers(doc["noise_vars"], "noise_vars"),
-    )
+    return GaussianChannel(doc["gains"], doc["powers"], doc["noise_vars"])
 
 
 def _parse_dmc(doc: Mapping[str, Any]) -> DmcChannel:
-    channel = DmcChannel(
-        tuple(_numbers(pmf, "input_pmfs") for pmf in doc["input_pmfs"]),
-        tuple(_numbers(table, "transitions", rows=True) for table in doc["transitions"]),
-    )
+    channel = DmcChannel(doc["input_pmfs"], doc["transitions"])
     # The header sizes are redundant with the tables; they must agree.
     for name in ("input_alphabet_sizes", "output_alphabet_sizes"):
         actual = list(getattr(channel, name))
@@ -169,8 +130,8 @@ _KINDS = {
 def parse_scenario(doc: Mapping[str, Any]) -> Channel:
     """Type a scenario document and build its channel.
 
-    The channel constructor owns every shape and value check; its errors
-    come back as ``ScenarioParseError``.
+    The channel constructors own every number type, shape and value check;
+    their errors come back as ``ScenarioParseError``.
     """
     if not isinstance(doc, Mapping):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -213,9 +174,9 @@ def scenario_doc(channel: Channel) -> dict[str, Any]:
         return {
             "kind": "gaussian",
             "K": channel.num_users,
-            "gains": [[float(g) for g in row] for row in channel.gains],
-            "powers": [float(p) for p in channel.powers],
-            "noise_vars": [float(v) for v in channel.noise_vars],
+            "gains": list(map(list, channel.gains)),
+            "powers": list(channel.powers),
+            "noise_vars": list(channel.noise_vars),
         }
     if isinstance(channel, DmcChannel):
         return {
@@ -223,11 +184,8 @@ def scenario_doc(channel: Channel) -> dict[str, Any]:
             "K": channel.num_users,
             "input_alphabet_sizes": list(channel.input_alphabet_sizes),
             "output_alphabet_sizes": list(channel.output_alphabet_sizes),
-            "input_pmfs": [[float(p) for p in pmf] for pmf in channel.input_pmfs],
-            "transitions": [
-                [[float(p) for p in row] for row in table]
-                for table in channel.transitions
-            ],
+            "input_pmfs": [pmf.tolist() for pmf in channel.input_pmfs],
+            "transitions": [table.tolist() for table in channel.transitions],
         }
     if isinstance(channel, TabulatedRanks):
         subsets = subsets_in_mask_order(channel.num_users)

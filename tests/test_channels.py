@@ -20,7 +20,6 @@ from fairsic import (
     TabulatedRanks,
     ValidationError,
     dmc_rank_value,
-    gaussian_rank_value,
     greedy_profile,
     random_dmc_channel,
     random_gaussian_channel,
@@ -35,31 +34,36 @@ from fairsic.channels import check_users, mask_users
 from conftest import LOG2_1_1, LOG2_3, tabulated_from_values
 
 
+def fresh_rank_value(channel, receiver: int, users) -> float:
+    """``rank_value`` on a fresh rank set, so no memo is shared between calls."""
+    return rank_value(RankFunctionSet(channel), receiver, users)
+
+
 class TestGaussianRank:
     def test_empty_set_is_exactly_zero(self, two_user_channel):
         for j in (1, 2):
-            assert gaussian_rank_value(two_user_channel, j, set()) == 0.0
+            assert fresh_rank_value(two_user_channel, j, set()) == 0.0
 
     def test_frozen_values(self, two_user_channel):
-        assert gaussian_rank_value(two_user_channel, 1, {2}) == pytest.approx(
+        assert fresh_rank_value(two_user_channel, 1, {2}) == pytest.approx(
             LOG2_3, abs=1e-15
         )
-        assert gaussian_rank_value(two_user_channel, 1, {1, 2}) == 2.0
-        assert gaussian_rank_value(two_user_channel, 2, {1}) == pytest.approx(
+        assert fresh_rank_value(two_user_channel, 1, {1, 2}) == 2.0
+        assert fresh_rank_value(two_user_channel, 2, {1}) == pytest.approx(
             LOG2_1_1, abs=1e-15
         )
 
     def test_single_user_awgn(self):
         channel = GaussianChannel(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
-        assert gaussian_rank_value(channel, 1, {1}) == 1.0
+        assert fresh_rank_value(channel, 1, {1}) == 1.0
 
     def test_out_of_range_receiver_and_user(self, two_user_channel):
         with pytest.raises(IndexError):
-            gaussian_rank_value(two_user_channel, 3, {1})
+            fresh_rank_value(two_user_channel, 3, {1})
         with pytest.raises(IndexError):
-            gaussian_rank_value(two_user_channel, 1, {0})
+            fresh_rank_value(two_user_channel, 1, {0})
         with pytest.raises(IndexError):
-            gaussian_rank_value(two_user_channel, 1, {3})
+            fresh_rank_value(two_user_channel, 1, {3})
 
     def test_monotone_over_all_subset_pairs(self, two_user_channel):
         rs = RankFunctionSet.for_channel(two_user_channel)
@@ -81,7 +85,7 @@ class TestGaussianRank:
         subsets = [mask_users(m) for m in range(4)]
         for a in subsets:
             for b in subsets:
-                lhs = gaussian_rank_value(two_user_channel, 1, a) - gaussian_rank_value(
+                lhs = fresh_rank_value(two_user_channel, 1, a) - fresh_rank_value(
                     two_user_channel, 1, b
                 )
                 assert lhs == pytest.approx(unnormalized(a) - unnormalized(b), abs=1e-12)
@@ -105,18 +109,105 @@ class TestGaussianValidation:
             GaussianChannel(np.array([[math.nan]]), np.array([1.0]), np.array([1.0]))
 
     def test_arrays_are_read_only(self, two_user_channel):
-        with pytest.raises(ValueError):
-            two_user_channel.gains[0, 0] = 5.0
+        # The fields are tuples of floats.
+        with pytest.raises(TypeError):
+            two_user_channel.gains[0][0] = 5.0
+        with pytest.raises(TypeError):
+            two_user_channel.powers[0] = 5.0
 
     def test_caller_arrays_stay_writable_and_detached(self):
         gains, powers, noise = np.array([[1.0, 2.0], [0.1, 1.0]]), np.ones(2), np.ones(2)
         channel = GaussianChannel(gains, powers, noise)
-        before = all_rank_values(gaussian_rank_value, channel)
+        before = all_rank_values(fresh_rank_value, channel)
         assert gains.flags.writeable and powers.flags.writeable and noise.flags.writeable
         gains[:] = 7.0
         powers[:] = 3.0
         noise[:] = 0.5
-        assert all_rank_values(gaussian_rank_value, channel) == before
+        assert all_rank_values(fresh_rank_value, channel) == before
+
+    def test_fields_are_float_tuples_that_compare_and_hash(self):
+        channel = GaussianChannel([[1, 2], [0.1, 1]], np.ones(2), (1.0, 1.0))
+        assert channel.gains == ((1.0, 2.0), (0.1, 1.0))
+        assert channel.received_powers == channel.gains
+        assert all(type(v) is float for v in (*channel.gains[0], *channel.powers))
+        twin = GaussianChannel([[1.0, 2.0], [0.1, 1.0]], [1.0, 1.0], [1.0, 1.0])
+        assert twin == channel and hash(twin) == hash(channel)
+        assert twin != GaussianChannel([[1.0, 2.0], [0.1, 1.0]], [1.0, 1.0], [1.0, 2.0])
+
+
+HALF_ROWS = [[0.5, 0.5]] * 4
+# name -> per constructor: (arguments with the non-number, the refusal message)
+LIBRARY_NON_NUMBERS = {
+    "bool": {
+        GaussianChannel: (
+            ([[1.0, 1.0], [1.0, 1.0]], [True, 1.0], [1.0, 1.0]),
+            "an entry of powers must be a real number, got True",
+        ),
+        DmcChannel: (
+            ([[True, 0.0], [0.5, 0.5]], [HALF_ROWS, HALF_ROWS]),
+            "an entry of input_pmfs of user 1 must be a real number, got True",
+        ),
+    },
+    "numeric string": {
+        GaussianChannel: (
+            ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [1.0, "1.5"]),
+            "an entry of noise_vars must be a real number, got '1.5'",
+        ),
+        DmcChannel: (
+            ([[0.5, 0.5], [0.5, 0.5]], [HALF_ROWS, HALF_ROWS[:3] + [["1.5", 0.5]]]),
+            "an entry of row 3 of transitions of receiver 2 must be a real number, got '1.5'",
+        ),
+    },
+    "string": {
+        GaussianChannel: (
+            ([[1.0, 1.0], [1.0, "x"]], [1.0, 1.0], [1.0, 1.0]),
+            "an entry of row 1 of gains must be a real number, got 'x'",
+        ),
+        DmcChannel: (
+            ([[0.5, 0.5], [0.5, "x"]], [HALF_ROWS, HALF_ROWS]),
+            "an entry of input_pmfs of user 2 must be a real number, got 'x'",
+        ),
+    },
+    "ragged row": {
+        GaussianChannel: (
+            ([[1.0, 1.0], [1.0]], [1.0, 1.0], [1.0, 1.0]),
+            "gains rows must all have the same length",
+        ),
+        DmcChannel: (
+            ([[0.5, 0.5], [0.5, 0.5]], [HALF_ROWS[:3] + [[1.0]], HALF_ROWS]),
+            "transitions of receiver 1 rows must all have the same length",
+        ),
+    },
+    "nested entry": {
+        GaussianChannel: (
+            ([[1.0, 1.0], [1.0, 1.0]], [[1.0], 1.0], [1.0, 1.0]),
+            "an entry of powers must be a real number, got [1.0]",
+        ),
+        DmcChannel: (
+            ([[0.5, 0.5], [0.5, 0.5]], [[[[0.5], 0.5]] + HALF_ROWS[1:], HALF_ROWS]),
+            "an entry of row 0 of transitions of receiver 1 must be a real number, got [0.5]",
+        ),
+    },
+    "huge integer": {
+        GaussianChannel: (
+            ([[1.0, 10**400], [1.0, 1.0]], [1.0, 1.0], [1.0, 1.0]),
+            "an entry of row 0 of gains is too large for a float",
+        ),
+        DmcChannel: (
+            ([[0.5, 0.5], [10**400, 0.5]], [HALF_ROWS, HALF_ROWS]),
+            "an entry of input_pmfs of user 2 is too large for a float",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_NON_NUMBERS))
+@pytest.mark.parametrize("backend", [GaussianChannel, DmcChannel], ids=["gaussian", "dmc"])
+def test_constructors_refuse_non_numbers(backend, name):
+    args, message = LIBRARY_NON_NUMBERS[name][backend]
+    with pytest.raises(ValidationError) as excinfo:
+        backend(*args)
+    assert str(excinfo.value) == message
 
 
 class TestDmcRank:
@@ -377,7 +468,7 @@ class TestRankDispatch:
         for j in (1, 2):
             for mask in range(4):
                 users = mask_users(mask)
-                assert rank_value(rs, j, users) == gaussian_rank_value(
+                assert rank_value(rs, j, users) == fresh_rank_value(
                     two_user_channel, j, users
                 )
 

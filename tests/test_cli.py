@@ -304,6 +304,11 @@ class TestValidate:
         assert code == 1
 
 
+def _pinned_gen(kind, k, digest):
+    # The K=4 ids stay "kind-digest", as before K was a parameter.
+    return pytest.param(kind, k, digest, id=f"{kind}-{digest}" if k == 4 else f"{kind}-k{k}")
+
+
 class TestGen:
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -318,18 +323,26 @@ class TestGen:
     # SHA-256 of the stdout, pinned so that a writer or generator change
     # that alters the bytes cannot pass unseen.
     @pytest.mark.parametrize(
-        "kind, digest",
+        "kind, k, digest",
         [
-            ("gaussian", "269045883725c7a57df2976b996eb2dc8f1566ac1131f9e595410c05e73650b2"),
-            ("dmc", "be9e38d47827fb471d5a24606c15b1d90a37951b01dc676ba0e88128e264fa61"),
-            (
+            _pinned_gen(
+                "gaussian", 4, "269045883725c7a57df2976b996eb2dc8f1566ac1131f9e595410c05e73650b2"
+            ),
+            _pinned_gen(
+                "dmc", 4, "be9e38d47827fb471d5a24606c15b1d90a37951b01dc676ba0e88128e264fa61"
+            ),
+            _pinned_gen(
+                "dmc", 8, "44c0396825ffd2ce6fa8457fb834241ae2b77861aa5db3d72ff4411224a82892"
+            ),
+            _pinned_gen(
                 "tabulated-submodular",
+                4,
                 "e7f2989af49b9f9f1df490eeb741da2aa044d045218262c6218efaa3dedf65a0",
             ),
         ],
     )
-    def test_gen_bytes_are_pinned(self, capsys, kind, digest):
-        code, out, _ = run(capsys, "gen", "--kind", kind, "--k", "4", "--seed", "3")
+    def test_gen_bytes_are_pinned(self, capsys, kind, k, digest):
+        code, out, _ = run(capsys, "gen", "--kind", kind, "--k", str(k), "--seed", "3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

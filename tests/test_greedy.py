@@ -76,12 +76,13 @@ class TestGreedyOrder:
         channel = random_gaussian_channel(4, rng_from_seed(123))
         ranks = RankFunctionSet.for_channel(channel)
         baseline = greedy_order(ranks, 2)
-        perturbed_gains = channel.gains.copy()
-        perturbed_gains[0] *= 3.0
-        perturbed_gains[2] *= 0.25
+        perturbed_gains = list(channel.gains)
+        perturbed_gains[0] = [gain * 3.0 for gain in perturbed_gains[0]]
+        perturbed_gains[2] = [gain * 0.25 for gain in perturbed_gains[2]]
         perturbed = RankFunctionSet.for_channel(
             GaussianChannel(perturbed_gains, channel.powers, channel.noise_vars)
         )
+        assert perturbed.backend.gains[0] != channel.gains[0]
         assert greedy_order(perturbed, 2) == baseline
 
 

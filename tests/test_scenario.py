@@ -227,6 +227,18 @@ MALFORMED_DOCS = {
         _receiver_1_table([[[], 0.0], [[1], 0.5], [[2], True], [[1, 2], 1.0]]),
         "tables",
     ),
+    "one-column gains": (dict(GAUSSIAN_DOC, gains=[[1.0], [0.1]]), "gains must be 2x2"),
+    "true power": (dict(GAUSSIAN_DOC, powers=[True, 1.0]), "powers"),
+    "nested power": (dict(GAUSSIAN_DOC, powers=[[1.0], 1.0]), "powers"),
+    "string pmf entry": (dict(DMC_DOC, input_pmfs=[[0.5, "0.5"], [0.5, 0.5]]), "input_pmfs"),
+    "number for a transition row": (
+        dict(DMC_DOC, transitions=[[0.5, 0.5, 0.5, 0.5], HALF_ROWS]),
+        "transitions",
+    ),
+    "ragged transitions": (
+        dict(DMC_DOC, transitions=[HALF_ROWS[:3] + [[1.0]], HALF_ROWS]),
+        "transitions",
+    ),
 }
 
 
@@ -301,6 +313,33 @@ def test_subset_list_refusal_messages(name, receiver, tmp_path, capsys):
         doc = dict(TABULATED_DOC, tables=[TABULATED_DOC["tables"][0], entries])
         message = message.replace("receiver 1", "receiver 2")
     _assert_refused(doc, message, tmp_path, capsys)
+
+
+# Messages of the number refusals, typed by the channel constructors, by
+# their MALFORMED_DOCS name.
+NUMBER_REFUSALS = {
+    "true power": "invalid gaussian scenario: an entry of powers must be a real number, got True",
+    "nested power": (
+        "invalid gaussian scenario: an entry of powers must be a real number, got [1.0]"
+    ),
+    "one-column gains": "invalid gaussian scenario: gains must be 2x2, got (2, 1)",
+    "string pmf entry": (
+        "invalid dmc scenario: an entry of input_pmfs of user 1 must be a real number, "
+        "got '0.5'"
+    ),
+    "number for a transition row": (
+        "invalid dmc scenario: row 0 of transitions of receiver 1 must be a list of "
+        "numbers, got 0.5"
+    ),
+    "ragged transitions": (
+        "invalid dmc scenario: transitions of receiver 1 rows must all have the same length"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_REFUSALS))
+def test_number_refusal_messages(name, tmp_path, capsys):
+    _assert_refused(MALFORMED_DOCS[name][0], NUMBER_REFUSALS[name], tmp_path, capsys)
 
 
 def test_first_faulty_list_in_file_order_is_reported(tmp_path, capsys):
