@@ -13,7 +13,7 @@ user counts.  No Python loop runs per subset:
 
 Minima are exact and each pair's expression keeps its operation order,
 so every reported number is the one a per-pair loop computes, bit for
-bit.
+bit, as ``TestScanMatchesLoop`` pins.
 """
 
 from __future__ import annotations
@@ -141,11 +141,7 @@ def validate_rank_axioms(
 
     Reports the worst violation magnitude per axiom and receiver; a clean
     receiver reports zeros.  Nothing is raised on failure, the report
-    carries it.  The 2^K values per receiver come from ``subset_value_table``.
-    The worst drop is f(s) minus the exact minimum over strict supersets
-    of s; the worst excess is the largest ((f(m|s) + f(m&s)) - f(m)) - f(s)
-    over all 4^K ordered pairs, scanned in numpy blocks of at most 2^15
-    elements.  Both are the floats a per-pair loop reports.
+    carries it.
     """
     if ranks.num_users > MAX_VALIDATABLE_USERS:
         raise ValidationError(

@@ -211,7 +211,7 @@ class GaussianChannel:
         return {k + 1: math.log2(1.0 + (total - ints[k]) / scale / noise) for k in members}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmcChannel:
     """Discrete memoryless channel restricted to per-receiver output marginals.
 
@@ -219,7 +219,9 @@ class DmcChannel:
     are independent across users.  ``transitions[j-1]`` has one row per
     joint input tuple (row-major over (x_1, ..., x_K)) holding a pmf over
     receiver j's output alphabet.  ``joint_input_pmf`` caches the product
-    law of the inputs as a (|X_1|, ..., |X_K|) array.
+    law of the inputs as a (|X_1|, ..., |X_K|) array.  The fields are
+    read-only arrays, which have no truth value, so channels compare and
+    hash by identity.
     """
 
     kind: ClassVar[str] = "dmc"
@@ -313,15 +315,10 @@ def dmc_rank_value(channel: DmcChannel, receiver: int, users: Iterable[int]) -> 
 
     Exact evaluation on the (|X_1|, ..., |X_K|, |Y_j|) tensor with the
     0 log 0 = 0 convention.  Raises CapacityError when the tensor would
-    exceed ``DEFAULT_DMC_TERM_CAP`` elements.
-
-    The result is bit-identical to summing ``p(x) p(y|x) log2(p(y|x) /
-    p(y|x_outside))`` tuple by tuple, and rank values are compared for
-    exact equality downstream, so the rounding of every step is fixed:
-    the marginal over S is accumulated sequentially in row-major order
-    (``np.add.accumulate``, never the pairwise ``np.sum``), logs come from
-    ``math.log2`` (``np.log2`` may differ by one ulp) and the terms are
-    added by ``math.fsum``.
+    exceed ``DEFAULT_DMC_TERM_CAP`` elements.  Rank values are compared for
+    exact equality downstream, so the result is bit-identical to a
+    tuple-by-tuple sum, as ``TestDmcMatchesTupleLoop`` pins; logs come
+    from ``math.log2``, since ``np.log2`` may differ by one ulp.
     """
     check_receiver(channel.num_users, receiver)
     return channel._rank(receiver, check_users(channel.num_users, users))

@@ -16,17 +16,12 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .axioms import AxiomReport, validate_rank_axioms
+from .axioms import validate_rank_axioms
 from .channels import DEFAULT_AXIOM_TOL, Channel, RankFunctionSet
-from .errors import (
-    CapacityError,
-    NonRankInputError,
-    ScenarioParseError,
-    ValidationError,
-)
+from .errors import CapacityError, NonRankInputError, ScenarioParseError, ValidationError
 from .generate import GENERATOR_KINDS, generate_channel
-from .greedy import SolveReport, greedy_profile
-from .oracle import CertificationReport, EnumerationBudget, certify
+from .greedy import greedy_profile
+from .oracle import EnumerationBudget, certify
 from .ordering import DecodingProfile, decode_sequence, render_order
 from .rates import min_rate, rate_vector
 from .scenario import dump_scenario, load_scenario, save_scenario
@@ -37,6 +32,15 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_CERTIFICATION = 4
 
+# The exit code of each error a command reports on stderr; any other
+# exception propagates.
+ERROR_EXITS = {
+    ScenarioParseError: EXIT_PARSE,
+    CapacityError: EXIT_BUDGET,
+    NonRankInputError: EXIT_VALIDATION,
+    ValidationError: EXIT_VALIDATION,
+}
+
 
 def _fmt_set(users) -> str:
     return "{" + ", ".join(str(u) for u in sorted(users)) + "}"
@@ -46,8 +50,20 @@ def _profile_sequences(profile: DecodingProfile) -> list[list[int]]:
     return [list(decode_sequence(order)) for order in profile.orders]
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+def _order_lines(title: str, profile: DecodingProfile) -> list[str]:
+    return [title, *(f"  {render_order(order)}" for order in profile.orders)]
+
+
+def _rate_block(rates, value: float, bottleneck) -> tuple[dict, list[str]]:
+    """The fields and human lines that end both ``solve`` and ``rates``."""
+    fields = {"rates": list(rates), "min_rate": value, "bottleneck_users": sorted(bottleneck)}
+    lines = [
+        "rates (bits/use):",
+        *(f"  user {k}: {rate!r}" for k, rate in enumerate(rates, start=1)),
+        f"min rate: {value!r}",
+        f"bottleneck users: {_fmt_set(bottleneck)}",
+    ]
+    return fields, lines
 
 
 def _tolerance(text: str) -> float:
@@ -93,156 +109,111 @@ def _parse_profile_arg(text: str, num_users: int) -> DecodingProfile:
     return DecodingProfile.from_decode_sequences(sequences)
 
 
-def _print_solve_human(channel_kind: str, report: SolveReport) -> None:
-    print(f"backend: {channel_kind}")
-    print(f"users: {len(report.rates)}")
-    print("decoding orders:")
-    for order in report.profile.orders:
-        print(f"  {render_order(order)}")
-    print("decoded users per receiver:")
-    for j, users in enumerate(report.decoded_sets, start=1):
-        print(f"  receiver {j} decodes {_fmt_set(users)}")
-    print("decoding receivers per user:")
-    for k, receivers in enumerate(report.decoder_sets, start=1):
-        print(f"  user {k} decoded at {_fmt_set(receivers)}")
-    print("rates (bits/use):")
-    for k, rate in enumerate(report.rates, start=1):
-        print(f"  user {k}: {rate!r}")
-    print(f"min rate: {report.min_rate!r}")
-    print(f"bottleneck users: {_fmt_set(report.bottleneck_users)}")
+# Each scenario command takes the parsed arguments and the scenario's rank
+# set, and returns its exit code, its structured fields (after the common
+# header) and its human lines (after the ``backend:`` line).
+Report = tuple[int, dict, list[str]]
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    channel = load_scenario(args.scenario)
-    ranks = RankFunctionSet.for_channel(channel)
+def cmd_solve(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
     report = greedy_profile(ranks, tol=args.tol, force=args.force)
-    if args.fmt == "structured":
-        _emit(
-            {
-                "command": "solve",
-                "kind": ranks.kind,
-                "K": ranks.num_users,
-                "profile": _profile_sequences(report.profile),
-                "decoded_sets": [sorted(s) for s in report.decoded_sets],
-                "decoder_sets": [sorted(s) for s in report.decoder_sets],
-                "rates": list(report.rates),
-                "min_rate": report.min_rate,
-                "bottleneck_users": sorted(report.bottleneck_users),
-            }
-        )
-    else:
-        _print_solve_human(ranks.kind, report)
-    return EXIT_OK
+    fields, rate_lines = _rate_block(report.rates, report.min_rate, report.bottleneck_users)
+    return (
+        EXIT_OK,
+        {
+            "profile": _profile_sequences(report.profile),
+            "decoded_sets": [sorted(s) for s in report.decoded_sets],
+            "decoder_sets": [sorted(s) for s in report.decoder_sets],
+            **fields,
+        },
+        [
+            f"users: {len(report.rates)}",
+            *_order_lines("decoding orders:", report.profile),
+            "decoded users per receiver:",
+            *(
+                f"  receiver {j} decodes {_fmt_set(users)}"
+                for j, users in enumerate(report.decoded_sets, start=1)
+            ),
+            "decoding receivers per user:",
+            *(
+                f"  user {k} decoded at {_fmt_set(receivers)}"
+                for k, receivers in enumerate(report.decoder_sets, start=1)
+            ),
+            *rate_lines,
+        ],
+    )
 
 
-def cmd_rates(args: argparse.Namespace) -> int:
-    channel = load_scenario(args.scenario)
-    ranks = RankFunctionSet.for_channel(channel)
+def cmd_rates(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
     profile = _parse_profile_arg(args.profile, ranks.num_users)
     rates = rate_vector(ranks, profile, clamp_tol=args.tol)
-    value, bottleneck = min_rate(rates)
-    if args.fmt == "structured":
-        _emit(
-            {
-                "command": "rates",
-                "kind": ranks.kind,
-                "K": ranks.num_users,
-                "profile": _profile_sequences(profile),
-                "rates": list(rates),
-                "min_rate": value,
-                "bottleneck_users": sorted(bottleneck),
-            }
-        )
-    else:
-        print(f"backend: {ranks.kind}")
-        print("profile:")
-        for order in profile.orders:
-            print(f"  {render_order(order)}")
-        print("rates (bits/use):")
-        for k, rate in enumerate(rates, start=1):
-            print(f"  user {k}: {rate!r}")
-        print(f"min rate: {value!r}")
-        print(f"bottleneck users: {_fmt_set(bottleneck)}")
-    return EXIT_OK
-
-
-def cmd_certify(args: argparse.Namespace) -> int:
-    channel = load_scenario(args.scenario)
-    ranks = RankFunctionSet.for_channel(channel)
-    report: CertificationReport = certify(
-        ranks, EnumerationBudget(), tol=args.tol, force=args.force
+    fields, rate_lines = _rate_block(rates, *min_rate(rates))
+    return (
+        EXIT_OK,
+        {"profile": _profile_sequences(profile), **fields},
+        [*_order_lines("profile:", profile), *rate_lines],
     )
-    if args.fmt == "structured":
-        _emit(
-            {
-                "command": "certify",
-                "kind": ranks.kind,
-                "K": ranks.num_users,
-                "greedy_min_rate": report.greedy_min_rate,
-                "oracle_min_rate": report.oracle_min_rate,
-                "gap": report.gap,
-                "num_configs": report.num_configs,
-                "passed": report.passed,
-                "greedy_profile": _profile_sequences(report.greedy.profile),
-                "oracle_profile": _profile_sequences(report.oracle_best_profile),
-                "counterexample": (
-                    None
-                    if report.counterexample is None
-                    else _profile_sequences(report.counterexample)
-                ),
-            }
-        )
-    else:
-        print(f"backend: {ranks.kind}")
-        print(f"users: {ranks.num_users}")
-        print(f"profiles enumerated: {report.num_configs}")
-        print(f"greedy min rate: {report.greedy_min_rate!r}")
-        print(f"oracle min rate: {report.oracle_min_rate!r}")
-        print(f"gap: {report.gap!r}")
-        if report.counterexample is not None:
-            print("counterexample profile:")
-            for order in report.counterexample.orders:
-                print(f"  {render_order(order)}")
-        print(f"certification: {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_CERTIFICATION
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    channel = load_scenario(args.scenario)
-    ranks = RankFunctionSet.for_channel(channel)
-    report: AxiomReport = validate_rank_axioms(ranks, args.tol)
-    if args.fmt == "structured":
-        _emit(
+def cmd_certify(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
+    report = certify(ranks, EnumerationBudget(), tol=args.tol, force=args.force)
+    example = report.counterexample
+    fields = {
+        "greedy_min_rate": report.greedy_min_rate,
+        "oracle_min_rate": report.oracle_min_rate,
+        "gap": report.gap,
+        "num_configs": report.num_configs,
+        "passed": report.passed,
+        "greedy_profile": _profile_sequences(report.greedy.profile),
+        "oracle_profile": _profile_sequences(report.oracle_best_profile),
+        "counterexample": None if example is None else _profile_sequences(example),
+    }
+    lines = [
+        f"users: {ranks.num_users}",
+        f"profiles enumerated: {report.num_configs}",
+        f"greedy min rate: {report.greedy_min_rate!r}",
+        f"oracle min rate: {report.oracle_min_rate!r}",
+        f"gap: {report.gap!r}",
+        *([] if example is None else _order_lines("counterexample profile:", example)),
+        f"certification: {'PASS' if report.passed else 'FAIL'}",
+    ]
+    return (EXIT_OK if report.passed else EXIT_CERTIFICATION), fields, lines
+
+
+def cmd_validate(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
+    report = validate_rank_axioms(ranks, args.tol)
+    fields = {"tol": report.tol, "passed": report.passed, "receivers": []}
+    lines = [f"tolerance: {report.tol!r}"]
+    for r in report.receivers:
+        passed = r.passed(report.tol)
+        fields["receivers"].append(
             {
-                "command": "validate",
-                "kind": ranks.kind,
-                "K": ranks.num_users,
-                "tol": report.tol,
-                "passed": report.passed,
-                "receivers": [
-                    {
-                        "receiver": r.receiver,
-                        "normalization_violation": r.normalization_violation,
-                        "monotonicity_violation": r.monotonicity_violation,
-                        "submodularity_violation": r.submodularity_violation,
-                        "passed": r.passed(report.tol),
-                    }
-                    for r in report.receivers
-                ],
+                "receiver": r.receiver,
+                "normalization_violation": r.normalization_violation,
+                "monotonicity_violation": r.monotonicity_violation,
+                "submodularity_violation": r.submodularity_violation,
+                "passed": passed,
             }
         )
+        lines.append(
+            f"  receiver {r.receiver}: normalization {r.normalization_violation!r}, "
+            f"monotonicity {r.monotonicity_violation!r}, "
+            f"submodularity {r.submodularity_violation!r} -> {'pass' if passed else 'FAIL'}"
+        )
+    lines.append(f"axioms: {'PASS' if report.passed else 'FAIL'}")
+    return (EXIT_OK if report.passed else EXIT_VALIDATION), fields, lines
+
+
+def run_report(args: argparse.Namespace) -> int:
+    """Load the scenario, run one scenario command and print its report."""
+    ranks = RankFunctionSet.for_channel(load_scenario(args.scenario))
+    code, fields, lines = args.report(args, ranks)
+    if args.fmt == "structured":
+        header = {"command": args.command, "kind": ranks.kind, "K": ranks.num_users}
+        print(json.dumps({**header, **fields}, indent=2))
     else:
-        print(f"backend: {ranks.kind}")
-        print(f"tolerance: {report.tol!r}")
-        for r in report.receivers:
-            verdict = "pass" if r.passed(report.tol) else "FAIL"
-            print(
-                f"  receiver {r.receiver}: normalization {r.normalization_violation!r}, "
-                f"monotonicity {r.monotonicity_violation!r}, "
-                f"submodularity {r.submodularity_violation!r} -> {verdict}"
-            )
-        print(f"axioms: {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+        print("\n".join([f"backend: {ranks.kind}", *lines]))
+    return code
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -266,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], int]) -> None:
-        p.set_defaults(run=run)
+    def add_common(p: argparse.ArgumentParser, report: Callable[..., Report]) -> None:
+        p.set_defaults(run=run_report, report=report)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument(
             "--format",
@@ -327,15 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ScenarioParseError as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (NonRankInputError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for kind, code in ERROR_EXITS.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

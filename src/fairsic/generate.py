@@ -102,6 +102,8 @@ def generate_channel(
         raise ValidationError(f"user count must be at least 1, got {num_users}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
+    if kind in ("dmc", "tabulated-submodular") and (power, noise) != (None, None):
+        raise ValidationError(f"{kind} scenarios take no power or noise; gaussian ones do")
     # Refused before any draw: past the axiom gate's K, or once the transition
     # entries (K receivers x 2^K inputs x 2 outputs) pass one rank value's cap.
     if kind == "tabulated-submodular" and num_users > MAX_VALIDATABLE_USERS:

@@ -78,10 +78,7 @@ def greedy_order(
     """Greedy decoding order for one receiver.
 
     Depends only on this receiver's rank function; other receivers never
-    enter the argmin.  DMC and tabulated candidates are scored by one
-    ``rank_value`` call each, O(K^3) per receiver; Gaussian candidates by
-    one ``drop_values`` call per slot, O(K^2) per receiver, to the same
-    orders, as ``TestGaussianGreedyMatchesLoop`` pins.
+    enter the argmin.
     """
     check_receiver(ranks.num_users, receiver)
     ensure_rank_input(ranks, tol=tol, force=force)

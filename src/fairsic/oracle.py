@@ -98,14 +98,11 @@ def brute_force_maxmin(
 ) -> BruteForceResult:
     """True max-min optimum over every joint decoding profile.
 
-    ``m_j(c)`` is the smallest cap configuration ``c`` of receiver j
-    imposes on a user it decodes.  Each user has at least one decoder, so
-    a profile's minimum rate is ``min_j m_j(c_j)``, and since receivers
-    choose independently the optimum is ``v* = min_j max_c m_j(c)``.  A
-    profile attains it exactly when every ``m_j(c_j) >= v*``; taking each
-    receiver's first such configuration in perm-sorted order yields the
-    optimum with the lexicographically smallest concatenated permutation
-    encoding.
+    With ``m_j(c)`` the smallest cap configuration ``c`` of receiver j
+    imposes, the optimum is ``v* = min_j max_c m_j(c)``, as the module
+    docstring derives.  Taking each receiver's first configuration with
+    ``m_j(c) >= v*`` in perm-sorted order yields the optimum with the
+    lexicographically smallest concatenated permutation encoding.
     """
     budget = budget or EnumerationBudget()
     num_users = ranks.num_users

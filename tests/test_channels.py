@@ -211,6 +211,15 @@ def test_constructors_refuse_non_numbers(backend, name):
 
 
 class TestDmcRank:
+    def test_compares_and_hashes_by_identity(self):
+        args = ([[0.5, 0.5]], [[[0.5, 0.5], [0.5, 0.5]]])
+        channel, twin = DmcChannel(*args), DmcChannel(*args)
+        assert channel == channel and channel != twin
+        assert hash(channel) == hash(channel) and len({channel, twin}) == 2
+        ranks = RankFunctionSet(channel)
+        assert ranks == RankFunctionSet(channel) and ranks != RankFunctionSet(twin)
+        assert hash(ranks) == hash(RankFunctionSet(channel))
+
     def test_empty_set_is_exactly_zero(self, xor_dmc_channel):
         assert dmc_rank_value(xor_dmc_channel, 1, set()) == 0.0
 

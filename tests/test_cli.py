@@ -410,6 +410,18 @@ class TestGen:
         with pytest.raises(Reached):
             generate_channel(kind, num_users, 3)
 
+    @pytest.mark.parametrize("flag", ["--power", "--noise"])
+    @pytest.mark.parametrize("kind", ["dmc", "tabulated-submodular"])
+    def test_power_and_noise_refused_for_other_kinds(self, capsys, monkeypatch, kind, flag):
+        def never(seed):
+            raise AssertionError("the generator was reached")
+
+        monkeypatch.setattr(fairsic.generate, "rng_from_seed", never)
+        code, out, err = run(capsys, "gen", "--kind", kind, "--k", "2", "--seed", "3", flag, "5")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {kind} scenarios take no power or noise; gaussian ones do\n"
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "gaussian", "--seed", "3")
         assert code == 0
@@ -450,3 +462,206 @@ class TestTolerance:
         code, out, err = run(capsys, *TOL_COMMANDS[command], "--tol", "0")
         assert code == 0
         assert out and err == ""
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_tables(directory, name, *rows):
+    """A K=2 tabulated scenario with one row of values per receiver."""
+    subsets = [[], [1], [2], [1, 2]]
+    tables = [[[s, v] for s, v in zip(subsets, row)] for row in rows]
+    path = directory / name
+    path.write_text(json.dumps({"kind": "tabulated", "K": 2, "tables": tables}))
+    return str(path)
+
+
+# Each fixture's profile for `rates`.
+FIXTURE_PROFILES = {
+    "single_user": "1",
+    "tabulated_two_user": "1; 1 2",
+    "two_user_gaussian": "1; 1 2",
+    "xor_dmc": "1; 1 2",
+}
+
+# SHA-256 of the whole stdout of each command on each fixture, so that a
+# change to any byte of it (key order and whitespace included) fails.
+PINNED_FIXTURE_STDOUT = {
+    ("solve", "single_user", "human"): "603bd13b6b243ddfe326f7f1dbaf5ae05aeb3c63dd969763d0ef95a5ba1b4cae",
+    ("solve", "single_user", "structured"): "e0e60676a4071f3fb3a58280eea68acd7687c473c883172ddf95b4f4d1d51c0a",
+    ("solve", "tabulated_two_user", "human"): "9e7e063616ba80e0d06a8c5ba831917c9044ec48f3a9a3dda061b8eb6e2cd4f5",
+    ("solve", "tabulated_two_user", "structured"): "ea3cb7f935b2199e72da18b88854ada3dfa11da391e22c318cf38b43c69b4813",
+    ("solve", "two_user_gaussian", "human"): "2c980a25ac3218e3dad60e08bd1e3bfaf1470c17538338edb30bb1175364ce1a",
+    ("solve", "two_user_gaussian", "structured"): "9a193b85fac504a074914be01cb6aa5d1726a7ef04f4baec4b7f60dcdacf9647",
+    ("solve", "xor_dmc", "human"): "8444e3e617feda49b67dc138e1aeef8c2dcb135980cb5cb37d368e532f60ff83",
+    ("solve", "xor_dmc", "structured"): "42f5b2ee0beebb3ce19adfe69f6a306c434ee423d3acd7c3d2dfac309daf1e8f",
+    ("rates", "single_user", "human"): "e5a9d9386a73924e3411a6dbc0a2fa6dfc2e307db10024509dbed259fcd72b66",
+    ("rates", "single_user", "structured"): "2cc5612fe8238c6125d53d4b36ff3564730a0aa841ceb5e28f7288d000ae2b5d",
+    ("rates", "tabulated_two_user", "human"): "3ebc54693029bf960ded0d1ba82e1d10bac83bfad1f7e3c87a990a6dad9297a7",
+    ("rates", "tabulated_two_user", "structured"): "abfb033a5ff11814cd2ede6830171fdadd42dac1184cfd6f0a07ed8ec5a57e1c",
+    ("rates", "two_user_gaussian", "human"): "d9a7f2b83a3fd8e4ef637e6cc4647d02e4d52a6030724da21d1825289a43bacb",
+    ("rates", "two_user_gaussian", "structured"): "c120891e6e2ec7846b2da9df7ead7b202244669f56b8072326a4749c209d804b",
+    ("rates", "xor_dmc", "human"): "f5715c98f23c36b75ecb59300a00cf343cd20ade922d0d2e244874a94cc45399",
+    ("rates", "xor_dmc", "structured"): "2477f459d0d0d6b265ac2a52c7c5674864b34b4b2b1e765b6ffd51ff5e9d5335",
+    ("certify", "single_user", "human"): "b8e284a05c372b4d020bb6e56d50fde995b2f483f3384e423528d17f6c56faa7",
+    ("certify", "single_user", "structured"): "946a1faac204a5db6c97d7f573969d85c0da4dbeb9fa4944e17504b846ae1277",
+    ("certify", "tabulated_two_user", "human"): "f81a04e239f56f9e6bf2524a45549aa1fd22a14814eac6bb420941ba66dbde2f",
+    ("certify", "tabulated_two_user", "structured"): "50fd15cf322d61856663af74cfd9538e74601d4f2e85c67b89f350e4378fb818",
+    ("certify", "two_user_gaussian", "human"): "6e31b886654748e14829c8de4f6555b4577a4cbacf46bc48147963ec8edf78b6",
+    ("certify", "two_user_gaussian", "structured"): "dab40cee425cd0fa4db482feec011c04fed694e4b61c26ba8fe49ce1fd02642c",
+    ("certify", "xor_dmc", "human"): "79274d065c8954739695f5fe1754b39d5d2391032696f47ddec108c6af83bc4b",
+    ("certify", "xor_dmc", "structured"): "367024755aefc54af99a5f5fae8814ba4619ae1d9028321eaa0ec7273f7636c9",
+    ("validate", "single_user", "human"): "4baec6e8db94f5a35e42e4ff89bae5abacd672f14241f52e3f579cd7151b121b",
+    ("validate", "single_user", "structured"): "1977c72add309a47f946075d38080a8fb7e3882239c5c2ad3f65d68e49aa79cb",
+    ("validate", "tabulated_two_user", "human"): "31a62594009bebbf51a0b0dd9d894d0f8af6688256bc606b91dac8014bc9759b",
+    ("validate", "tabulated_two_user", "structured"): "5072aa1244b4b22f875c2719ef18b8091a0e743179042411e6986793c3b54af4",
+    ("validate", "two_user_gaussian", "human"): "c2ca77a149b7da56740544aeeec8d981f86154364503c19858ebdd02706dc944",
+    ("validate", "two_user_gaussian", "structured"): "2e3e04f4d7bcd07a52cd3f6cb6a263c0a658104354e8b1ae791b0f725aabcdd0",
+    ("validate", "xor_dmc", "human"): "c50929cd51cba8033e55943248387c713f698e3a159ea29e328431d891d58488",
+    ("validate", "xor_dmc", "structured"): "495af64673a79be8a648bd9064830ab57722cda903b4c70b5ff677fd37ef4973",
+}
+
+# SHA-256 of each subcommand's --help at 80 columns.  Python 3.10 to 3.13
+# print the same bytes.
+PINNED_HELP = {
+    "solve": "cf4103621cabd96e892d4ec94b3fb5f9a078d7a52d604bba0f9185b9c483fb3b",
+    "rates": "44b786646cc2563912502d36a9474cede28d58a45a6bd8967c8c4a4ac0a9198a",
+    "certify": "28ce4460927c2bf024323e14b9c09df7dab41a52b5440753cc545d173545285a",
+    "validate": "bd01a5c8d272b83b3a8ed1522fb41ce4221f218610307ccb7c3405541f438903",
+    "gen": "c7219694b5b49e18e1cbddf411f03b78db4a78bfc3c4f754a9791d71dc30d19e",
+}
+
+NOT_RANK = (
+    "error: tabulated backend violates the rank axioms; greedy optimality is "
+    "only guaranteed for rank functions (pass --force, or force=True, to solve "
+    "anyway)\n"
+)
+
+# Failing runs: argv ("<tmp>" is the test's directory of input files), exit
+# code, SHA-256 of stdout and the whole stderr.  Each non-zero exit code is
+# here: 1 validation, 2 parse or usage, 3 budget, 4 certification.
+PINNED_FAILURES = {
+    "solve-not-rank": (
+        ["solve", "--scenario", "<tmp>/not_rank.json"], 1, digest(""), NOT_RANK,
+    ),
+    "certify-not-rank": (
+        ["certify", "--scenario", "<tmp>/gap.json"], 1, digest(""), NOT_RANK,
+    ),
+    "validate-fail-human": (
+        ["validate", "--scenario", "<tmp>/not_rank.json"],
+        1,
+        digest(
+            "backend: tabulated\n"
+            "tolerance: 1e-09\n"
+            "  receiver 1: normalization 0.0, monotonicity 0.0, submodularity 1.0 -> FAIL\n"
+            "  receiver 2: normalization 0.0, monotonicity 0.0, submodularity 0.0 -> pass\n"
+            "axioms: FAIL\n"
+        ),
+        "",
+    ),
+    "validate-fail-structured": (
+        ["validate", "--scenario", "<tmp>/not_rank.json", "--format", "structured"],
+        1,
+        "10957c3df5a32dbac1113ef4983e6bdcb9c0fd0076b394ffd8be826875e3b8a2",
+        "",
+    ),
+    "rates-bad-profile": (
+        ["rates", "--scenario", TWO_USER, "--profile", "2; 2"],
+        1,
+        digest(""),
+        "error: decode sequence for receiver 1 must end with user 1, got (2,)\n",
+    ),
+    "gen-negative-seed": (
+        ["gen", "--seed", "-1"], 1, digest(""), "error: seed must be nonnegative, got -1\n",
+    ),
+    "solve-malformed": (
+        ["solve", "--scenario", "<tmp>/malformed.json", "--format", "structured"],
+        2,
+        digest(""),
+        "error: field 'gains' must be a list of K = 2 entries, one per user\n",
+    ),
+    "certify-over-budget": (
+        ["certify", "--scenario", "<tmp>/five_users.json"],
+        3,
+        digest(""),
+        "error: enumeration is limited to K <= 4, got K = 5\n",
+    ),
+    "certify-gap-human": (
+        ["certify", "--scenario", "<tmp>/gap.json", "--force"],
+        4,
+        digest(
+            "backend: tabulated\n"
+            "users: 2\n"
+            "profiles enumerated: 4\n"
+            "greedy min rate: 0.5\n"
+            "oracle min rate: 3.0\n"
+            "gap: 2.5\n"
+            "counterexample profile:\n"
+            "  1: [2] 1\n"
+            "  2: [1] 2\n"
+            "certification: FAIL\n"
+        ),
+        "",
+    ),
+    "certify-gap-structured": (
+        ["certify", "--scenario", "<tmp>/gap.json", "--force", "--format", "structured"],
+        4,
+        "4cc10ee5ae8ddfb0036d381131eb02f90c2dd2ed3954b9563a8717479220ea0b",
+        "",
+    ),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize(
+        "command, fixture, fmt",
+        sorted(PINNED_FIXTURE_STDOUT),
+        ids=lambda value: value,
+    )
+    def test_fixture_stdout(self, capsys, command, fixture, fmt):
+        argv = [command, "--scenario", str(SCENARIOS / f"{fixture}.json")]
+        if fmt == "structured":
+            argv += ["--format", "structured"]
+        if command == "rates":
+            argv += ["--profile", FIXTURE_PROFILES[fixture]]
+        code, out, err = run(capsys, *argv)
+        assert (code, digest(out), err) == (0, PINNED_FIXTURE_STDOUT[command, fixture, fmt], "")
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FAILURES))
+    def test_failure(self, capsys, tmp_path, name):
+        write_tables(tmp_path, "not_rank.json", [0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0])
+        # The oracle beats the greedy by 2.5 on this table.
+        write_tables(tmp_path, "gap.json", [0.0, 1.0, 1.0, 4.0], [0.0, 0.5, 0.5, 4.0])
+        gaussian = {"kind": "gaussian", "K": 2, "gains": [[1.0, 2.0]]}
+        gaussian.update(powers=[1.0, 1.0], noise_vars=[1.0, 1.0])
+        (tmp_path / "malformed.json").write_text(json.dumps(gaussian))
+        five = {"kind": "gaussian", "K": 5, "gains": [[1.0] * 5] * 5}
+        five.update(powers=[1.0] * 5, noise_vars=[1.0] * 5)
+        (tmp_path / "five_users.json").write_text(json.dumps(five))
+        argv, code, stdout_digest, stderr = PINNED_FAILURES[name]
+        argv = [arg.replace("<tmp>", str(tmp_path)) for arg in argv]
+        got_code, out, err = run(capsys, *argv)
+        assert (got_code, digest(out), err) == (code, stdout_digest, stderr)
+
+    def test_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exited:
+            main(["solve"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage: fairsic solve [-h] --scenario SCENARIO [--format {human,structured}]\n"
+            "                     [--tol TOL] [--force]\n"
+            "fairsic solve: error: the following arguments are required: --scenario\n"
+        )
+
+    @pytest.mark.parametrize("command", sorted(PINNED_HELP))
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        captured = capsys.readouterr()
+        assert (digest(captured.out), captured.err) == (PINNED_HELP[command], "")
