@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -48,6 +49,14 @@ def check_users(num_users: int, users: Iterable[int]) -> int:
             raise IndexError(f"user {user} out of range 1..{num_users}")
         mask |= 1 << (user - 1)
     return mask
+
+
+def _drop_members(num_users: int, receiver: int, mask: int) -> list[int]:
+    """Range-check a ``drop_values`` call; return the mask's members, 0-based."""
+    check_receiver(num_users, receiver)
+    if not 0 <= mask < 1 << num_users:
+        raise IndexError(f"mask {mask} names users outside 1..{num_users}")
+    return [k for k in range(num_users) if mask >> k & 1]
 
 
 def mask_users(mask: int) -> frozenset[int]:
@@ -97,13 +106,17 @@ def _numbers(value: Any, label: str, depth: int = 1) -> Any:
 def _check_pmfs(rows: np.ndarray, label: str) -> None:
     """Require every row of a 2-D array to be a pmf; report the first bad row.
 
-    ``label.format(row)`` names a failing row in the error message.
+    ``label.format(row)`` names a failing row in the error message.  A bulk
+    row sum of n nonnegative entries is within n eps of ``math.fsum``'s, so
+    only rows not clearly inside ``PMF_TOL`` are summed again exactly.
     """
     broken = (rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1)
-    for row, (entries, bad) in enumerate(zip(rows.tolist(), broken.tolist())):
-        if bad:
+    margin = rows.shape[1] * sys.float_info.epsilon
+    unclear = broken | ~(abs(rows.sum(axis=1) - 1.0) <= PMF_TOL - margin)
+    for row in np.flatnonzero(unclear).tolist():
+        if broken[row]:
             raise ValidationError(f"{label.format(row)} has negative or non-finite entries")
-        total = math.fsum(entries)
+        total = math.fsum(rows[row].tolist())
         if abs(total - 1.0) > PMF_TOL:
             raise ValidationError(
                 f"{label.format(row)} sums to {total!r}, expected 1 within {PMF_TOL}"
@@ -200,11 +213,8 @@ class GaussianChannel:
     def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
         """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, hex-identical as
         ``test_every_drop_value_is_the_rank_value`` pins."""
-        check_receiver(self.num_users, receiver)
-        if not 0 <= mask < 1 << self.num_users:
-            raise IndexError(f"mask {mask} names users outside 1..{self.num_users}")
+        members = _drop_members(self.num_users, receiver, mask)
         ints, scale, noise = self._scaled_rows[receiver - 1]
-        members = [k for k in range(self.num_users) if mask >> k & 1]
         total = sum(ints[k] for k in members)
         # Int true division rounds correctly, as fsum does, to fsum's float; the
         # constructor's finite full-set sum over the noise keeps every step finite.
@@ -228,6 +238,8 @@ class DmcChannel:
     input_pmfs: tuple[np.ndarray, ...]
     transitions: tuple[np.ndarray, ...]
     joint_input_pmf: np.ndarray = field(init=False, repr=False, compare=False)
+    _receiver_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _subset_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pmfs = tuple(
@@ -276,49 +288,75 @@ class DmcChannel:
         return tuple(t.shape[1] for t in self.transitions)
 
     def _rank(self, receiver: int, mask: int) -> float:
-        if not mask:
-            return 0.0
-        sizes = self.input_alphabet_sizes
-        out_size = self.output_alphabet_sizes[receiver - 1]
-        joint = math.prod(sizes)
-        if joint * out_size > DEFAULT_DMC_TERM_CAP:
+        return self._values(receiver, [mask])[0] if mask else 0.0
+
+    def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
+        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, from one batch."""
+        members = _drop_members(self.num_users, receiver, mask)
+        values = self._values(receiver, [mask ^ 1 << k for k in members])
+        return {k + 1: value for k, value in zip(members, values)}
+
+    def _values(self, receiver: int, masks: list[int]) -> list[float]:
+        """Rank values of ``masks`` at ``receiver``: the one DMC evaluation path.
+
+        Each p(x_outside, y) sums the S-coordinates of p(x, y), flattened
+        row-major to the front, one slice after another, as a tuple-by-tuple
+        sum would.  A buffer holds at most ``DEFAULT_DMC_TERM_CAP`` terms.
+        """
+        joint, out_size = self.transitions[receiver - 1].shape
+        cap = DEFAULT_DMC_TERM_CAP
+        if joint * out_size > cap:
             raise CapacityError(
-                f"rank evaluation needs {joint} joint tuples x "
-                f"{out_size} outputs, cap is {DEFAULT_DMC_TERM_CAP}"
+                f"rank evaluation needs {joint} joint tuples x {out_size} outputs, cap is {cap}"
             )
-        inside = [k for k in range(self.num_users) if mask >> k & 1]
-        complement = [k for k in range(self.num_users) if not mask >> k & 1]
-        prob = self.joint_input_pmf[..., np.newaxis]
-        lik = self.transitions[receiver - 1].reshape(sizes + (out_size,))
-        mass = prob * lik  # p(x, y)
-
-        # p(x_outside, y): the S-coordinates flattened row-major to the front
-        # and added one slice after another, as a tuple-by-tuple sum would.
-        stacked = np.moveaxis(mass, inside, range(len(inside)))
-        stacked = stacked.reshape((-1,) + stacked.shape[len(inside):])
-        kept_shape = tuple(1 if mask >> k & 1 else size for k, size in enumerate(sizes))
-        marginal = np.add.accumulate(stacked, axis=0)[-1].reshape(kept_shape + (out_size,))
-        comp_mass = _product_pmf(self.input_pmfs[k] for k in complement)
-        comp_mass = comp_mass.reshape(kept_shape + (1,))
-
-        # 0 log 0 = 0 for every term whose mass is zero, underflow included.
-        keep = mass != 0.0
+        terms = self._receiver_cache.get(receiver)
+        if terms is None:
+            lik = self.transitions[receiver - 1].reshape(self.input_alphabet_sizes + (-1,))
+            mass = self.joint_input_pmf[..., np.newaxis] * lik  # p(x, y)
+            # 0 log 0 = 0 for every term whose mass is zero, underflow included.
+            keep = np.flatnonzero(mass)
+            terms = self._receiver_cache[receiver] = (lik, mass, keep, mass.ravel()[keep])
+        lik, mass, keep, kept_mass = terms
+        values: list[float] = []
+        step = cap // mass.size
         with np.errstate(divide="ignore", invalid="ignore"):
-            # p(y | x_outside) = marginal / comp_mass
-            ratio = (lik * comp_mass) / marginal
-        logs = map(math.log2, ratio[keep].tolist())
-        return math.fsum(map(operator.mul, mass[keep].tolist(), logs))
+            for start in range(0, len(masks), step):
+                batch = masks[start : start + step]
+                ratios = np.empty((len(batch),) + mass.shape)
+                for ratio, mask in zip(ratios, batch):
+                    axes, rows, kept_shape, comp_mass = self._subset_terms(mask)
+                    stacked = mass.transpose(axes).reshape(rows, -1)
+                    marginal = np.add.accumulate(stacked)[-1].reshape(kept_shape)
+                    # p(y | x_outside) = marginal / comp_mass
+                    np.divide(lik * comp_mass, marginal, out=ratio)
+                kept = ratios.reshape(len(batch), -1).take(keep, axis=1)
+                logs = np.fromiter(map(math.log2, kept.ravel().tolist()), float, kept.size)
+                values += map(math.fsum, (logs.reshape(kept.shape) * kept_mass).tolist())
+        return values
+
+    def _subset_terms(self, mask: int) -> tuple:
+        """Axes putting S first, S's tuple count, the kept shape and p(x_outside)."""
+        terms = self._subset_cache.get(mask)
+        if terms is None:
+            sizes = self.input_alphabet_sizes
+            inside = [k for k in range(len(sizes)) if mask >> k & 1]
+            outside = [k for k in range(len(sizes)) if not mask >> k & 1]
+            kept = tuple(1 if mask >> k & 1 else size for k, size in enumerate(sizes))
+            comp_mass = _product_pmf(self.input_pmfs[k] for k in outside).reshape(kept + (1,))
+            axes = (*inside, *outside, len(sizes))
+            terms = (axes, math.prod(sizes[k] for k in inside), kept + (-1,), comp_mass)
+            self._subset_cache[mask] = terms
+        return terms
 
 
 def dmc_rank_value(channel: DmcChannel, receiver: int, users: Iterable[int]) -> float:
     """Conditional mutual information I(output_j ; inputs in S | inputs outside S).
 
-    Exact evaluation on the (|X_1|, ..., |X_K|, |Y_j|) tensor with the
-    0 log 0 = 0 convention.  Raises CapacityError when the tensor would
-    exceed ``DEFAULT_DMC_TERM_CAP`` elements.  Rank values are compared for
-    exact equality downstream, so the result is bit-identical to a
-    tuple-by-tuple sum, as ``TestDmcMatchesTupleLoop`` pins; logs come
-    from ``math.log2``, since ``np.log2`` may differ by one ulp.
+    Exact on the (|X_1|, ..., |X_K|, |Y_j|) tensor with 0 log 0 = 0, by the
+    kernel ``DmcChannel.drop_values`` shares; raises CapacityError when the
+    tensor exceeds ``DEFAULT_DMC_TERM_CAP`` elements.  Bit-identical to a
+    tuple-by-tuple sum, as ``TestDmcMatchesTupleLoop`` pins; logs come from
+    ``math.log2``, since ``np.log2`` may differ by one ulp.
     """
     check_receiver(channel.num_users, receiver)
     return channel._rank(receiver, check_users(channel.num_users, users))
@@ -373,6 +411,12 @@ class TabulatedRanks:
 
     def _rank(self, receiver: int, mask: int) -> float:
         return self.tables[receiver - 1][mask]
+
+    def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
+        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``."""
+        members = _drop_members(self.num_users, receiver, mask)
+        table = self.tables[receiver - 1]
+        return {k + 1: table[mask ^ 1 << k] for k in members}
 
 
 Channel = Union[GaussianChannel, DmcChannel, TabulatedRanks]

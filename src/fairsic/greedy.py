@@ -8,10 +8,10 @@ received powers is a separate fast path that usually gives the same
 orders; where two removals leave exactly tied rank values although the
 powers differ, the two orders can differ, and the greedy is the contract.
 
-DMC and tabulated candidates are scored by one rank evaluation each,
-O(K^4) per profile; Gaussian candidates are scored together by
-``GaussianChannel.drop_values``, O(K^3) per profile, to the same floats
-(``TestGaussianGreedyMatchesLoop`` pins the orders and rates).
+Each slot's candidates are scored by one ``drop_values`` call, to the
+floats ``rank_value`` gives (``test_every_drop_value_is_the_rank_value``):
+Gaussian ones from one exact subset sum, O(K^3) per profile; DMC ones in
+one batched tensor pass; tabulated ones by lookup.
 
 Argmin ties are broken by exact float equality: prefer users other than
 the receiver's own (so ties are decoded rather than skipped), then the
@@ -82,26 +82,20 @@ def greedy_order(
     """
     check_receiver(ranks.num_users, receiver)
     ensure_rank_input(ranks, tol=tol, force=force)
-    backend = ranks.backend
-    gaussian = isinstance(backend, GaussianChannel)
     remaining = set(range(1, ranks.num_users + 1))
     mask = (1 << ranks.num_users) - 1
     sequence: list[int] = []  # first decoded first
     while True:
-        if gaussian:
-            values = backend.drop_values(receiver, mask)
-        else:
-            values = {c: rank_value(ranks, receiver, remaining - {c}) for c in sorted(remaining)}
+        values = ranks.backend.drop_values(receiver, mask)
         best = min(values.values())
         # Ascending users: the first tied one that is not the receiver's own.
         chosen = next((c for c, v in values.items() if v == best and c != receiver), receiver)
         sequence.append(chosen)
         remaining.discard(chosen)
         mask ^= 1 << (chosen - 1)
-        if gaussian:
-            # The prefix rate_vector reads next is scored: store it, then hit it.
-            store_rank_value(ranks, receiver, mask, values[chosen])
-            rank_value(ranks, receiver, remaining)
+        # The prefix rate_vector reads next is scored: store it, then hit it.
+        store_rank_value(ranks, receiver, mask, values[chosen])
+        rank_value(ranks, receiver, remaining)
         if chosen == receiver:
             return DecodingOrder.from_decode_sequence(
                 receiver, sequence, ranks.num_users

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fairsic import (
     DmcChannel,
@@ -49,3 +52,39 @@ def xor_dmc_channel() -> DmcChannel:
 def tabulated_from_values(values_per_receiver) -> TabulatedRanks:
     """Build a K=2 tabulated backend from (empty, {1}, {2}, {1,2}) values."""
     return TabulatedRanks(2, tuple(dict(enumerate(values)) for values in values_per_receiver))
+
+
+def _weights(size: int):
+    """Nonnegative pmf weights with zeros, at least one positive."""
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    return st.lists(entry, min_size=size, max_size=size).map(
+        lambda w: w if any(w) else [1.0] + w[1:]
+    )
+
+
+def _pmf(weights) -> np.ndarray:
+    raw = np.array(weights)
+    return raw / raw.sum()
+
+
+@st.composite
+def small_dmc_channels(draw) -> DmcChannel:
+    num_users = draw(st.integers(1, 3))
+    in_sizes = draw(st.lists(st.integers(1, 3), min_size=num_users, max_size=num_users))
+    out_sizes = draw(st.lists(st.integers(1, 3), min_size=num_users, max_size=num_users))
+    joint = math.prod(in_sizes)
+    pmfs = tuple(_pmf(draw(_weights(size))) for size in in_sizes)
+    tables = tuple(
+        np.vstack([_pmf(draw(_weights(size))) for _ in range(joint)]) for size in out_sizes
+    )
+    return DmcChannel(pmfs, tables)
+
+
+@st.composite
+def small_tabulated_ranks(draw) -> TabulatedRanks:
+    """Tables of any nonnegative values: drop lookups need no rank axioms."""
+    num_users = draw(st.integers(1, 4))
+    value = st.floats(0.0, 10.0)
+    tables = [draw(st.lists(value, min_size=1 << num_users, max_size=1 << num_users))
+              for _ in range(num_users)]
+    return TabulatedRanks(num_users, tuple(dict(enumerate(table)) for table in tables))

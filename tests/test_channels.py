@@ -29,9 +29,9 @@ from fairsic import (
     validate_rank_axioms,
 )
 from fairsic.axioms import AxiomReport, ReceiverAxiomReport, _receiver_violations
-from fairsic.channels import check_users, mask_users
+from fairsic.channels import PMF_TOL, check_users, mask_users
 
-from conftest import LOG2_1_1, LOG2_3, tabulated_from_values
+from conftest import LOG2_1_1, LOG2_3, small_dmc_channels, tabulated_from_values
 
 
 def fresh_rank_value(channel, receiver: int, users) -> float:
@@ -239,13 +239,37 @@ class TestDmcRank:
         monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 7)
         with pytest.raises(CapacityError, match="cap is 7"):
             dmc_rank_value(xor_dmc_channel, 1, {1})
+        with pytest.raises(CapacityError, match="cap is 7"):
+            xor_dmc_channel.drop_values(1, 0b11)
+        # Refused before any tensor of the receiver is built.
+        assert not xor_dmc_channel._receiver_cache
 
     def test_budget_cap_admits_exact_tensor_size(self, xor_dmc_channel, monkeypatch):
         # 4 joint tuples x 2 outputs = 8 elements; a cap of 7 raises above.
+        expected = greedy_profile(RankFunctionSet(xor_dmc_channel))
         monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 8)
         assert dmc_rank_value(xor_dmc_channel, 1, {1}) == loop_dmc_rank_value(
             xor_dmc_channel, 1, {1}
         )
+        report = greedy_profile(RankFunctionSet(xor_dmc_channel))
+        assert (report.profile, report.rates) == (expected.profile, expected.rates)
+
+    @pytest.mark.parametrize("per_buffer", [1, 2, 3, 4])
+    def test_candidates_split_into_capped_buffers(self, per_buffer, monkeypatch):
+        # 16 joint tuples x 2 outputs per candidate; four candidates per slot.
+        channel = random_dmc_channel(4, rng_from_seed(2))
+        expected = [channel.drop_values(j, 0b1111) for j in range(1, 5)]
+        monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 32 * per_buffer + 31)
+        buffers = []
+        empty = np.empty
+
+        def recording(shape, *args, **kwargs):
+            buffers.append(math.prod(shape))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording)
+        assert [channel.drop_values(j, 0b1111) for j in range(1, 5)] == expected
+        assert max(buffers) == 32 * per_buffer
 
     def test_rejects_invalid_pmf(self):
         uniform = np.array([0.5, 0.5])
@@ -265,6 +289,25 @@ class TestDmcRank:
             ValidationError, match="^transition row 2 of receiver 1 has negative or non-finite"
         ):
             DmcChannel((uniform, uniform), (np.array(rows), np.array(rows)))
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_row_sums_ulps_from_the_tolerance(self, side):
+        # A bulk sum of these 1,000 entries is 1-2 ulps off their exact sum.
+        outcomes = set()
+        for step in range(-4, 5):
+            row = [0.001] * 999 + [0.001 + side * PMF_TOL + step * 2**-52]
+            total = math.fsum(row)
+            refused = abs(total - 1.0) > PMF_TOL
+            outcomes.add(refused)
+            if refused:
+                with pytest.raises(ValidationError) as excinfo:
+                    DmcChannel(([1.0],), ([row],))
+                assert str(excinfo.value) == (
+                    f"transition row 0 of receiver 1 sums to {total!r}, expected 1 within {PMF_TOL}"
+                )
+            else:
+                DmcChannel(([1.0],), ([row],))
+        assert outcomes == {False, True}
 
     def test_rejects_wrong_row_count(self):
         uniform = np.array([0.5, 0.5])
@@ -361,32 +404,6 @@ def assert_bit_identical_to_loop(channel: DmcChannel) -> None:
             assert dmc_rank_value(channel, receiver, users) == loop_dmc_rank_value(
                 channel, receiver, users
             ), (receiver, sorted(users))
-
-
-def _weights(size: int):
-    """Nonnegative pmf weights with zeros, at least one positive."""
-    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
-    return st.lists(entry, min_size=size, max_size=size).map(
-        lambda w: w if any(w) else [1.0] + w[1:]
-    )
-
-
-def _pmf(weights) -> np.ndarray:
-    raw = np.array(weights)
-    return raw / raw.sum()
-
-
-@st.composite
-def small_dmc_channels(draw) -> DmcChannel:
-    num_users = draw(st.integers(1, 3))
-    in_sizes = draw(st.lists(st.integers(1, 3), min_size=num_users, max_size=num_users))
-    out_sizes = draw(st.lists(st.integers(1, 3), min_size=num_users, max_size=num_users))
-    joint = math.prod(in_sizes)
-    pmfs = tuple(_pmf(draw(_weights(size))) for size in in_sizes)
-    tables = tuple(
-        np.vstack([_pmf(draw(_weights(size))) for _ in range(joint)]) for size in out_sizes
-    )
-    return DmcChannel(pmfs, tables)
 
 
 class TestDmcMatchesTupleLoop:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import fairsic.greedy
 from fairsic import (
     DecodingProfile,
+    DmcChannel,
     GaussianChannel,
     DecodingOrder,
     NonRankInputError,
     RankFunctionSet,
+    TabulatedRanks,
     ValidationError,
     certify,
     decode_sequence,
@@ -22,6 +24,7 @@ from fairsic import (
     generate_channel,
     greedy_order,
     greedy_profile,
+    random_dmc_channel,
     random_gaussian_channel,
     rank_value,
     rate_vector,
@@ -29,7 +32,7 @@ from fairsic import (
 )
 from fairsic.channels import mask_users
 
-from conftest import LOG2_21_11, tabulated_from_values
+from conftest import LOG2_21_11, small_dmc_channels, small_tabulated_ranks, tabulated_from_values
 
 
 def symmetric_channel(num_users, value=1.0):
@@ -309,12 +312,15 @@ def assert_matches_loop(channel: GaussianChannel) -> None:
     assert [r.hex() for r in report.rates] == [r.hex() for r in expected]
 
 
-def assert_drops_are_rank_values(channel: GaussianChannel) -> None:
+def assert_drops_are_rank_values(channel) -> None:
+    """Keys ascend over the mask's users; each value is hex-equal to the rank value."""
     ranks = RankFunctionSet.for_channel(channel)
     for receiver in range(1, channel.num_users + 1):
         for mask in range(1 << channel.num_users):
             users = mask_users(mask)
-            for user, value in channel.drop_values(receiver, mask).items():
+            drops = channel.drop_values(receiver, mask)
+            assert list(drops) == sorted(users)
+            for user, value in drops.items():
                 assert value.hex() == rank_value(ranks, receiver, users - {user}).hex()
 
 
@@ -371,21 +377,22 @@ class TestGaussianGreedyMatchesLoop:
         assert_drops_are_rank_values(channel)
 
     @settings(max_examples=100, deadline=None)
-    @given(hard_gaussian_channels(max_users=5))
-    def test_every_drop_value_is_the_rank_value(self, channel):
-        ranks = RankFunctionSet.for_channel(channel)
-        for receiver in range(1, channel.num_users + 1):
-            for mask in range(1 << channel.num_users):
-                users = mask_users(mask)
-                drops = channel.drop_values(receiver, mask)
-                assert list(drops) == sorted(users)
-                for user, value in drops.items():
-                    assert value.hex() == rank_value(ranks, receiver, users - {user}).hex()
+    @given(hard_gaussian_channels(max_users=5), small_dmc_channels(), small_tabulated_ranks())
+    def test_every_drop_value_is_the_rank_value(self, gaussian, dmc, tabulated):
+        for channel in (gaussian, dmc, tabulated):
+            assert_drops_are_rank_values(channel)
 
-    def test_drop_values_range_checks(self, two_user_channel):
-        for receiver, mask in ((0, 1), (3, 1), (1, -1), (1, 4)):
-            with pytest.raises(IndexError):
-                two_user_channel.drop_values(receiver, mask)
+    @pytest.mark.parametrize("num_users", range(1, 7))
+    def test_generated_dmc_drop_values(self, num_users):
+        for seed in range(2):
+            assert_drops_are_rank_values(random_dmc_channel(num_users, rng_from_seed(seed)))
+
+    def test_drop_values_range_checks(self, two_user_channel, xor_dmc_channel):
+        tabulated = tabulated_from_values([(0.0, 0.5, 0.7, 1.0), (0.0, 0.1, 0.2, 0.3)])
+        for channel in (two_user_channel, xor_dmc_channel, tabulated):
+            for receiver, mask in ((0, 1), (3, 1), (1, -1), (1, 4)):
+                with pytest.raises(IndexError):
+                    channel.drop_values(receiver, mask)
 
     def test_one_rank_evaluation_per_slot(self, monkeypatch):
         calls = []
@@ -398,26 +405,32 @@ class TestGaussianGreedyMatchesLoop:
             return inner(ranks, receiver, users)
 
         evaluations = []
-        evaluate = GaussianChannel._rank
 
-        def counting_rank(channel, receiver, mask):
-            evaluations.append(receiver)
-            return evaluate(channel, receiver, mask)
+        def counting_rank(evaluate):
+            def wrapped(channel, receiver, mask):
+                evaluations.append(receiver)
+                return evaluate(channel, receiver, mask)
+
+            return wrapped
 
         monkeypatch.setattr(fairsic.greedy, "rank_value", counting)
-        monkeypatch.setattr(GaussianChannel, "_rank", counting_rank)
-        ranks = RankFunctionSet.for_channel(random_gaussian_channel(6, rng_from_seed(5)))
-        order = greedy_order(ranks, 3)
-        assert len(evaluations) <= 1
-        sequence = decode_sequence(order)
-        assert len(calls) == len(sequence)
-        left = set(range(1, 7))
-        for chosen, (users, _) in zip(sequence, calls):
-            left.discard(chosen)
-            assert users == left
-        for receiver in (1, 2, 4, 5, 6):
+        for backend in (GaussianChannel, DmcChannel, TabulatedRanks):
+            monkeypatch.setattr(backend, "_rank", counting_rank(backend._rank))
+        for kind in ("gaussian", "dmc", "tabulated-submodular"):
+            calls.clear()
             evaluations.clear()
-            greedy_order(ranks, receiver)
+            ranks = RankFunctionSet.for_channel(generate_channel(kind, 6, 5))
+            order = greedy_order(ranks, 3, force=True)
             assert len(evaluations) <= 1
-        # Each prefix is stored as scored, so every traced call is a memo hit.
-        assert all(hit for _, hit in calls)
+            sequence = decode_sequence(order)
+            assert len(calls) == len(sequence)
+            left = set(range(1, 7))
+            for chosen, (users, _) in zip(sequence, calls):
+                left.discard(chosen)
+                assert users == left
+            for receiver in (1, 2, 4, 5, 6):
+                evaluations.clear()
+                greedy_order(ranks, receiver, force=True)
+                assert len(evaluations) <= 1
+            # Each prefix is stored as scored, so every traced call is a memo hit.
+            assert all(hit for _, hit in calls)
