@@ -21,8 +21,8 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
-from typing import Any, ClassVar, Iterable, Mapping, Union
+from itertools import chain, compress, islice
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -51,12 +51,12 @@ def check_users(num_users: int, users: Iterable[int]) -> int:
     return mask
 
 
-def _drop_members(num_users: int, receiver: int, mask: int) -> list[int]:
-    """Range-check a ``drop_values`` call; return the mask's members, 0-based."""
+def _drop_members(num_users: int, receiver: int, mask: int) -> Iterator[int]:
+    """Range-check a drop call; iterate the mask's members, 0-based, ascending."""
     check_receiver(num_users, receiver)
     if not 0 <= mask < 1 << num_users:
         raise IndexError(f"mask {mask} names users outside 1..{num_users}")
-    return [k for k in range(num_users) if mask >> k & 1]
+    return compress(range(num_users), map("1".__eq__, bin(mask)[:1:-1]))
 
 
 def mask_users(mask: int) -> frozenset[int]:
@@ -104,23 +104,30 @@ def _numbers(value: Any, label: str, depth: int = 1) -> Any:
 
 
 def _check_pmfs(rows: np.ndarray, label: str) -> None:
-    """Require every row of a 2-D array to be a pmf; report the first bad row.
-
-    ``label.format(row)`` names a failing row in the error message.  A bulk
-    row sum of n nonnegative entries is within n eps of ``math.fsum``'s, so
-    only rows not clearly inside ``PMF_TOL`` are summed again exactly.
-    """
+    """Require every row of a 2-D array to be a pmf; ``label.format(row)`` names the
+    first bad row.  A bulk sum of n nonnegative entries is within n eps of
+    ``math.fsum``'s, so only rows not clearly inside ``PMF_TOL`` are summed again."""
     broken = (rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1)
     margin = rows.shape[1] * sys.float_info.epsilon
-    unclear = broken | ~(abs(rows.sum(axis=1) - 1.0) <= PMF_TOL - margin)
+    with np.errstate(over="ignore"):  # an inf sum is unclear: fsum reports it
+        unclear = broken | ~(abs(rows.sum(axis=1) - 1.0) <= PMF_TOL - margin)
     for row in np.flatnonzero(unclear).tolist():
         if broken[row]:
             raise ValidationError(f"{label.format(row)} has negative or non-finite entries")
-        total = math.fsum(rows[row].tolist())
+        try:
+            total = math.fsum(rows[row].tolist())
+        except OverflowError:  # finite entries whose sum passes the float range
+            total = math.inf
         if abs(total - 1.0) > PMF_TOL:
             raise ValidationError(
                 f"{label.format(row)} sums to {total!r}, expected 1 within {PMF_TOL}"
             )
+
+
+def _exact(kept: np.ndarray, mass: np.ndarray) -> list[float]:
+    """Per row, ``math.fsum(mass * math.log2(kept))``: ``np.log2`` may be an ulp off."""
+    logs = np.fromiter(map(math.log2, kept.ravel().tolist()), float, kept.size)
+    return list(map(math.fsum, (logs.reshape(kept.shape) * mass).tolist()))
 
 
 def _product_pmf(pmfs: Iterable[np.ndarray]) -> np.ndarray:
@@ -192,11 +199,9 @@ class GaussianChannel:
         return len(self.powers)
 
     def _rank(self, receiver: int, mask: int) -> float:
-        if not mask:
-            return 0.0
         row = self.received_powers[receiver - 1]
         # Bit k-1 of the mask, read from the lowest: user k's received power.
-        interference = math.fsum(p for p, bit in zip(row, bin(mask)[:1:-1]) if bit == "1")
+        interference = math.fsum(compress(row, map("1".__eq__, bin(mask)[:1:-1])))
         return math.log2(1.0 + interference / self.noise_vars[receiver - 1])
 
     @cached_property
@@ -211,14 +216,36 @@ class GaussianChannel:
         return tuple(rows)
 
     def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
-        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, hex-identical as
-        ``test_every_drop_value_is_the_rank_value`` pins."""
-        members = _drop_members(self.num_users, receiver, mask)
+        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, hex-identical."""
+        members = list(_drop_members(self.num_users, receiver, mask))
         ints, scale, noise = self._scaled_rows[receiver - 1]
         total = sum(ints[k] for k in members)
         # Int true division rounds correctly, as fsum does, to fsum's float; the
         # constructor's finite full-set sum over the noise keeps every step finite.
         return {k + 1: math.log2(1.0 + (total - ints[k]) / scale / noise) for k in members}
+
+    @cached_property
+    def _drop_orders(self) -> tuple[list[int], ...]:
+        """Per receiver, users 0-based by descending scaled int, ties ascending."""
+        rows = self._scaled_rows  # the sort is stable
+        return tuple(sorted(range(len(i)), key=i.__getitem__, reverse=True) for i, _, _ in rows)
+
+    def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
+        """``drop_values``' least value and its exact ties ascending: members are scored
+        in descending-int order and the scan stops at the first value above the best.
+        Every IEEE step before the log2 is monotone; ``math.log2`` is assumed to be."""
+        members = _drop_members(self.num_users, receiver, mask)
+        ints, scale, noise = self._scaled_rows[receiver - 1]
+        total = sum(map(ints.__getitem__, members))
+        best, tied = math.inf, []
+        for k in self._drop_orders[receiver - 1]:
+            if mask >> k & 1:
+                value = math.log2(1.0 + (total - ints[k]) / scale / noise)
+                if value > best:
+                    break
+                best = value  # scanned values never fall: this one ties or is first
+                tied.append(k + 1)
+        return best, sorted(tied)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,17 +319,44 @@ class DmcChannel:
 
     def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
         """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, from one batch."""
-        members = _drop_members(self.num_users, receiver, mask)
+        members = list(_drop_members(self.num_users, receiver, mask))
         values = self._values(receiver, [mask ^ 1 << k for k in members])
         return {k + 1: value for k, value in zip(members, values)}
 
     def _values(self, receiver: int, masks: list[int]) -> list[float]:
-        """Rank values of ``masks`` at ``receiver``: the one DMC evaluation path.
+        return [v for _, kept, mass in self._ratios(receiver, masks) for v in _exact(kept, mass)]
 
-        Each p(x_outside, y) sums the S-coordinates of p(x, y), flattened
-        row-major to the front, one slice after another, as a tuple-by-tuple
-        sum would.  A buffer holds at most ``DEFAULT_DMC_TERM_CAP`` terms.
-        """
+    def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
+        """``drop_values``' least value and its exact ties ascending.
+
+        A candidate's n terms ``np.log2(r) * w`` get a numpy sum A and a bound err =
+        2 (n + 16) (eps S + 2^-1074), S = sum|terms|.  Granting ``math.log2`` and
+        ``np.log2`` 8 ulps each (both give log2(1) = 0), a term is within 17 eps |term|
+        + 2^-1074 of the exact path's; numpy sums in any order within (n - 1) eps/2 S;
+        ``math.fsum`` rounds once.  So the exact value is within (n/2 + 18) eps S +
+        (n + 1) 2^-1074 of A, leaving 15 eps S of err for rounding err and A +- err.
+        Only candidates whose A - err reaches the least A + err can be least or tie;
+        they, and any with a non-finite bound, are scored by ``_exact`` on their rows."""
+        members = list(_drop_members(self.num_users, receiver, mask))
+        best, tied = math.inf, []
+        for start, kept, mass in self._ratios(receiver, [mask ^ 1 << k for k in members]):
+            with np.errstate(all="ignore"):
+                terms = np.log2(kept) * mass  # |term| <= 1075: a finite sum cannot overflow
+                approx = terms.sum(axis=1)
+                err = 2 * (len(mass) + 16) * (abs(terms).sum(axis=1) * math.ulp(1.0) + 5e-324)
+                # A non-finite term makes err inf or NaN: A - err passes, fmin skips NaN.
+                rows = np.flatnonzero(~(approx - err > np.fmin.reduce(approx + err)))
+            for row, value in zip(rows.tolist(), _exact(kept[rows], mass)):
+                if value < best:
+                    best, tied = value, []
+                if value == best:
+                    tied.append(members[start + row] + 1)
+        return best, tied
+
+    def _ratios(self, receiver: int, masks: list[int]) -> Iterator[tuple]:
+        """The one DMC evaluation path: per buffer of at most ``DEFAULT_DMC_TERM_CAP`` terms,
+        its first mask's index, p(y | x) p(x_outside) / p(x_outside, y) at p(x, y)'s nonzero
+        terms (a row per mask; S summed as a tuple loop sums), and those terms' masses."""
         joint, out_size = self.transitions[receiver - 1].shape
         cap = DEFAULT_DMC_TERM_CAP
         if joint * out_size > cap:
@@ -317,22 +371,18 @@ class DmcChannel:
             keep = np.flatnonzero(mass)
             terms = self._receiver_cache[receiver] = (lik, mass, keep, mass.ravel()[keep])
         lik, mass, keep, kept_mass = terms
-        values: list[float] = []
         step = cap // mass.size
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for start in range(0, len(masks), step):
-                batch = masks[start : start + step]
-                ratios = np.empty((len(batch),) + mass.shape)
+        for start in range(0, len(masks), step):
+            batch = masks[start : start + step]
+            ratios = np.empty((len(batch),) + mass.shape)
+            with np.errstate(divide="ignore", invalid="ignore"):
                 for ratio, mask in zip(ratios, batch):
                     axes, rows, kept_shape, comp_mass = self._subset_terms(mask)
                     stacked = mass.transpose(axes).reshape(rows, -1)
                     marginal = np.add.accumulate(stacked)[-1].reshape(kept_shape)
                     # p(y | x_outside) = marginal / comp_mass
                     np.divide(lik * comp_mass, marginal, out=ratio)
-                kept = ratios.reshape(len(batch), -1).take(keep, axis=1)
-                logs = np.fromiter(map(math.log2, kept.ravel().tolist()), float, kept.size)
-                values += map(math.fsum, (logs.reshape(kept.shape) * kept_mass).tolist())
-        return values
+            yield start, ratios.reshape(len(batch), -1).take(keep, axis=1), kept_mass
 
     def _subset_terms(self, mask: int) -> tuple:
         """Axes putting S first, S's tuple count, the kept shape and p(x_outside)."""
@@ -352,11 +402,9 @@ class DmcChannel:
 def dmc_rank_value(channel: DmcChannel, receiver: int, users: Iterable[int]) -> float:
     """Conditional mutual information I(output_j ; inputs in S | inputs outside S).
 
-    Exact on the (|X_1|, ..., |X_K|, |Y_j|) tensor with 0 log 0 = 0, by the
-    kernel ``DmcChannel.drop_values`` shares; raises CapacityError when the
-    tensor exceeds ``DEFAULT_DMC_TERM_CAP`` elements.  Bit-identical to a
-    tuple-by-tuple sum, as ``TestDmcMatchesTupleLoop`` pins; logs come from
-    ``math.log2``, since ``np.log2`` may differ by one ulp.
+    Exact on the (|X_1|, ..., |X_K|, |Y_j|) tensor with 0 log 0 = 0, and
+    bit-identical to a tuple-by-tuple sum (``TestDmcMatchesTupleLoop``); raises
+    CapacityError when the tensor exceeds ``DEFAULT_DMC_TERM_CAP`` elements.
     """
     check_receiver(channel.num_users, receiver)
     return channel._rank(receiver, check_users(channel.num_users, users))
@@ -418,6 +466,12 @@ class TabulatedRanks:
         table = self.tables[receiver - 1]
         return {k + 1: table[mask ^ 1 << k] for k in members}
 
+    def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
+        """``drop_values``' least value and its exact ties ascending."""
+        values = self.drop_values(receiver, mask)
+        best = min(values.values(), default=math.inf)
+        return best, [user for user, value in values.items() if value == best]
+
 
 Channel = Union[GaussianChannel, DmcChannel, TabulatedRanks]
 
@@ -426,12 +480,9 @@ Channel = Union[GaussianChannel, DmcChannel, TabulatedRanks]
 class RankFunctionSet:
     """One rank function per receiver behind a single evaluation interface.
 
-    The backend is the single owner of the backend kind and the user
-    count: ``kind`` and ``num_users`` read them from it, and its
-    ``_rank(receiver, mask)`` evaluates a subset bitmask that
-    ``check_users`` has range-checked once.  Evaluation is pure; a private
-    memo table keyed by (receiver, subset mask) caches values, which is
-    safe because backends are immutable.
+    ``kind`` and ``num_users`` read the backend's, and its ``_rank(receiver,
+    mask)`` evaluates a bitmask ``check_users`` has range-checked.  A private
+    memo keyed by (receiver, mask) caches values: backends are immutable.
     """
 
     backend: Channel

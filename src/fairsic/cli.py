@@ -24,7 +24,7 @@ from .greedy import greedy_profile
 from .oracle import EnumerationBudget, certify
 from .ordering import DecodingProfile, decode_sequence, render_order
 from .rates import min_rate, rate_vector
-from .scenario import dump_scenario, load_scenario, save_scenario
+from .scenario import load_scenario, save_scenario, write_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -221,7 +221,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         args.kind, args.num_users, args.seed, power=args.power, noise=args.noise
     )
     if args.out is None:
-        sys.stdout.write(dump_scenario(channel))
+        write_scenario(channel, sys.stdout)
     else:
         save_scenario(channel, args.out)
     return EXIT_OK

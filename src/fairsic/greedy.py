@@ -3,19 +3,12 @@
 Each receiver is solved independently: starting from the full user set,
 repeatedly hand the next decode slot to the user whose removal leaves the
 cheapest remaining set under the receiver's rank function, and stop once
-the receiver's own user is selected.  For Gaussian channels sorting
-received powers is a separate fast path that usually gives the same
-orders; where two removals leave exactly tied rank values although the
-powers differ, the two orders can differ, and the greedy is the contract.
-
-Each slot's candidates are scored by one ``drop_values`` call, to the
-floats ``rank_value`` gives (``test_every_drop_value_is_the_rank_value``):
-Gaussian ones from one exact subset sum, O(K^3) per profile; DMC ones in
-one batched tensor pass; tabulated ones by lookup.
-
-Argmin ties are broken by exact float equality: prefer users other than
-the receiver's own (so ties are decoded rather than skipped), then the
-smallest index.
+the receiver's own user is selected.  A slot's least value and exact ties
+come from one ``cheapest_drops`` call: those of ``drop_values``, the floats
+``rank_value`` gives, though each backend scores exactly only the
+candidates that can reach the least.  Argmin ties are broken by exact
+float equality: prefer users other than the receiver's own (so ties are
+decoded rather than skipped), then the smallest index.
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ from .channels import (
     store_rank_value,
 )
 from .errors import NonRankInputError
-from .ordering import DecodingOrder, DecodingProfile, decoded_set, decoder_set
+from .ordering import DecodingOrder, DecodingProfile, decoded_set
 from .rates import min_rate, rate_vector
 
 
@@ -54,10 +47,8 @@ def ensure_rank_input(
 ) -> None:
     """Refuse tabulated backends that fail the rank axioms unless forced.
 
-    Gaussian and discrete-channel backends satisfy the axioms analytically
-    and are exempt.  A tabulated backend is checked exhaustively on each
-    unforced call: the check is a precondition of the call, not a property
-    of the rank set.
+    Gaussian and DMC backends satisfy the axioms analytically.  A tabulated
+    one is checked on each unforced call, not once per rank set.
     """
     if force or not isinstance(ranks.backend, TabulatedRanks):
         return
@@ -86,15 +77,14 @@ def greedy_order(
     mask = (1 << ranks.num_users) - 1
     sequence: list[int] = []  # first decoded first
     while True:
-        values = ranks.backend.drop_values(receiver, mask)
-        best = min(values.values())
+        best, tied = ranks.backend.cheapest_drops(receiver, mask)
         # Ascending users: the first tied one that is not the receiver's own.
-        chosen = next((c for c, v in values.items() if v == best and c != receiver), receiver)
+        chosen = next((c for c in tied if c != receiver), receiver)
         sequence.append(chosen)
         remaining.discard(chosen)
         mask ^= 1 << (chosen - 1)
         # The prefix rate_vector reads next is scored: store it, then hit it.
-        store_rank_value(ranks, receiver, mask, values[chosen])
+        store_rank_value(ranks, receiver, mask, best)
         rank_value(ranks, receiver, remaining)
         if chosen == receiver:
             return DecodingOrder.from_decode_sequence(
@@ -115,14 +105,16 @@ def greedy_profile(
     )
     rates = rate_vector(ranks, profile)
     value, bottleneck = min_rate(rates)
+    decoded = tuple(map(decoded_set, profile.orders))
     return SolveReport(
         profile=profile,
         rates=rates,
         min_rate=value,
         bottleneck_users=bottleneck,
-        decoded_sets=tuple(decoded_set(o) for o in profile.orders),
+        decoded_sets=decoded,
         decoder_sets=tuple(
-            decoder_set(profile, k) for k in range(1, ranks.num_users + 1)
+            frozenset(j for j, users in enumerate(decoded, start=1) if k in users)
+            for k in range(1, ranks.num_users + 1)
         ),
         backend_kind=ranks.kind,
     )

@@ -12,7 +12,7 @@ import json
 from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, TextIO
 
 from .channels import (
     Channel,
@@ -201,5 +201,12 @@ def dump_scenario(channel: Channel) -> str:
     return json.dumps(scenario_doc(channel), indent=2) + "\n"
 
 
+def write_scenario(channel: Channel, stream: TextIO) -> None:
+    """Stream ``dump_scenario``'s text to ``stream`` without holding it whole."""
+    json.dump(scenario_doc(channel), stream, indent=2)
+    stream.write("\n")
+
+
 def save_scenario(channel: Channel, path: str | Path) -> None:
-    Path(path).write_text(dump_scenario(channel))
+    with open(path, "w") as stream:
+        write_scenario(channel, stream)

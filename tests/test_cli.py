@@ -145,6 +145,31 @@ class TestSolve:
         assert out
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "pmf, rows, bad",
+        [
+            ([1e308, 1e308], [[1.0, 0.0], [0.0, 1.0]], "input pmf of user 1"),
+            ([0.5, 0.5], [[1.0, 0.0], [1e308, 1e308]], "transition row 1 of receiver 1"),
+        ],
+    )
+    def test_dmc_pmf_sum_overflow_exits_2(self, capsys, tmp_path, pmf, rows, bad):
+        # Finite entries whose exact sum passes the float range.
+        path = tmp_path / "overflow.json"
+        doc = {
+            "kind": "dmc",
+            "K": 1,
+            "input_alphabet_sizes": [2],
+            "output_alphabet_sizes": [2],
+            "input_pmfs": [pmf],
+            "transitions": [rows],
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: invalid dmc scenario: {bad} sums to inf, expected 1 within 1e-12\n"
+        )
+
     def test_deterministic_output(self, capsys):
         outputs = {
             run(capsys, "solve", "--scenario", TWO_USER, "--format", "structured")[1]

@@ -1,11 +1,13 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fairsic.channels
 import fairsic.greedy
 from fairsic import (
     DecodingProfile,
@@ -19,11 +21,13 @@ from fairsic import (
     certify,
     decode_sequence,
     decoded_set,
+    decoder_set,
     gaussian_fast_order,
     gaussian_rate_formula,
     generate_channel,
     greedy_order,
     greedy_profile,
+    load_scenario,
     random_dmc_channel,
     random_gaussian_channel,
     rank_value,
@@ -33,6 +37,9 @@ from fairsic import (
 from fairsic.channels import mask_users
 
 from conftest import LOG2_21_11, small_dmc_channels, small_tabulated_ranks, tabulated_from_values
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def symmetric_channel(num_users, value=1.0):
@@ -109,6 +116,15 @@ class TestGreedyProfile:
         assert decode_sequence(report.profile.orders[1]) == (1, 2)
         assert report.rates[0] == report.rates[1]
         assert report.bottleneck_users == {1, 2}
+
+    @pytest.mark.parametrize(
+        "kind, num_users", [("gaussian", 12), ("dmc", 5), ("tabulated-submodular", 6)]
+    )
+    def test_decoder_sets_are_decoder_set(self, kind, num_users):
+        report = greedy_profile(RankFunctionSet.for_channel(generate_channel(kind, num_users, 4)))
+        assert report.decoder_sets == tuple(
+            decoder_set(report.profile, user) for user in range(1, num_users + 1)
+        )
 
 
 class TestRankGate:
@@ -434,3 +450,127 @@ class TestGaussianGreedyMatchesLoop:
                 assert len(evaluations) <= 1
             # Each prefix is stored as scored, so every traced call is a memo hit.
             assert all(hit for _, hit in calls)
+
+
+# Exact ties, ties one ulp apart, zeros, a subnormal and 600 decades of spread.
+TIE_VALUES = (0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.0, 3.0, 1e300, 1e-300, 5e-324)
+# Output pmfs a symmetric DMC draws its rows from: equal rows make candidates tie.
+SYMMETRIC_ROWS = ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.1, 0.9))
+
+
+@st.composite
+def tie_heavy_gaussian_channels(draw, max_users=8):
+    num_users = draw(st.integers(1, max_users))
+    value = st.sampled_from(TIE_VALUES)
+    gains = draw(st.lists(value, min_size=num_users**2, max_size=num_users**2))
+    powers = draw(st.lists(value, min_size=num_users, max_size=num_users))
+    noise = st.sampled_from(TIE_VALUES[1:])
+    noise_vars = draw(st.lists(noise, min_size=num_users, max_size=num_users))
+    try:
+        return GaussianChannel(np.array(gains).reshape(num_users, num_users), powers, noise_vars)
+    except ValidationError:  # a received power or its sum over the noise overflows
+        assume(False)
+
+
+@st.composite
+def symmetric_dmc_channels(draw):
+    """Binary inputs; each receiver's output law depends only on how many users
+    send a 1, so candidates of a slot tie, exactly or within rounding."""
+    num_users = draw(st.integers(1, 4))
+    pmfs = [draw(st.sampled_from([(0.5, 0.5), (0.25, 0.75), (1.0, 0.0)]))] * num_users
+    tables = []
+    for _ in range(num_users):
+        size = num_users + 1  # one output law per count of ones
+        by_count = draw(st.lists(st.sampled_from(SYMMETRIC_ROWS), min_size=size, max_size=size))
+        tables.append([by_count[bin(t).count("1")] for t in range(1 << num_users)])
+    return DmcChannel(pmfs, tables)
+
+
+@st.composite
+def tied_tabulated_ranks(draw):
+    num_users = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+    tables = [draw(st.lists(value, min_size=1 << num_users, max_size=1 << num_users))
+              for _ in range(num_users)]
+    return TabulatedRanks(num_users, tuple(dict(enumerate(table)) for table in tables))
+
+
+def assert_cheapest_is_least_drop(channel) -> None:
+    """``cheapest_drops`` is ``drop_values``' minimum, hex-equal, and every user
+    whose value equals it exactly, ascending, on every receiver and mask."""
+    for receiver in range(1, channel.num_users + 1):
+        for mask in range(1, 1 << channel.num_users):
+            values = channel.drop_values(receiver, mask)
+            least = min(values.values())
+            ties = [user for user, value in values.items() if value == least]
+            best, tied = channel.cheapest_drops(receiver, mask)
+            assert (best.hex(), tied) == (least.hex(), ties)
+
+
+class TestCheapestDrops:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tie_heavy_gaussian_channels())
+    def test_tie_heavy_gaussian(self, channel):
+        assert_cheapest_is_least_drop(channel)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(small_dmc_channels(), symmetric_dmc_channels()))
+    def test_dmc(self, channel):
+        assert_cheapest_is_least_drop(channel)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tied_tabulated_ranks())
+    def test_tabulated(self, channel):
+        assert_cheapest_is_least_drop(channel)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            tie_heavy_gaussian_channels(max_users=3), small_dmc_channels(), tied_tabulated_ranks()
+        ),
+        st.data(),
+    )
+    def test_out_of_range_raises_index_error(self, channel, data):
+        num_users = channel.num_users
+        receiver = data.draw(st.integers(-2, num_users + 2))
+        mask = data.draw(st.integers(-4, (1 << num_users) + 4))
+        assume(not (1 <= receiver <= num_users and 0 <= mask < 1 << num_users))
+        with pytest.raises(IndexError):
+            channel.cheapest_drops(receiver, mask)
+
+    def test_xor_scenario(self):
+        assert_cheapest_is_least_drop(load_scenario(SCENARIOS / "xor_dmc.json"))
+
+    @pytest.mark.parametrize("num_users", [5, 6])
+    def test_generated_dmc(self, num_users):
+        for seed in range(2):
+            assert_cheapest_is_least_drop(random_dmc_channel(num_users, rng_from_seed(seed)))
+
+    @pytest.mark.parametrize("per_buffer", [1, 2, 3])
+    def test_dmc_buffers_split_at_the_term_cap(self, per_buffer, monkeypatch):
+        # 16 joint tuples x 2 outputs per candidate, as in the drop_values test.
+        channel = random_dmc_channel(4, rng_from_seed(2))
+        monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 32 * per_buffer + 31)
+        assert_cheapest_is_least_drop(channel)
+
+    def test_gaussian_scan_scores_few_candidates(self, monkeypatch):
+        ranks = RankFunctionSet.for_channel(random_gaussian_channel(32, rng_from_seed(32)))
+        calls = []
+        log2 = math.log2
+        monkeypatch.setattr(math, "log2", lambda x: calls.append(x) or log2(x))
+        order = greedy_order(ranks, 1)
+        # Each slot scores its winner and at most a few runners-up, not every member.
+        assert len(calls) <= 3 * len(decode_sequence(order))
+
+    def test_dmc_prefilter_scores_few_candidates(self, monkeypatch):
+        ranks = RankFunctionSet.for_channel(random_dmc_channel(6, rng_from_seed(1)))
+        rows = []
+        exact = fairsic.channels._exact
+
+        def counting(kept, mass):
+            rows.append(len(kept))
+            return exact(kept, mass)
+
+        monkeypatch.setattr(fairsic.channels, "_exact", counting)
+        slots = sum(len(decode_sequence(greedy_order(ranks, j))) for j in range(1, 7))
+        assert sum(rows) < 2 * slots

@@ -10,6 +10,7 @@ from fairsic import (
     ScenarioParseError,
     TabulatedRanks,
     dump_scenario,
+    generate_channel,
     load_scenario,
     parse_scenario,
     save_scenario,
@@ -385,6 +386,18 @@ class TestFiles:
         loaded = load_scenario(path)
         assert np.array_equal(loaded.gains, two_user_channel.gains)
         assert dump_scenario(loaded) == dump_scenario(two_user_channel)
+
+    @pytest.mark.parametrize("kind, k", [("gaussian", 4), ("dmc", 4), ("tabulated-submodular", 3)])
+    def test_streamed_writers_match_dump_bytes(self, tmp_path, capsys, kind, k):
+        # save_scenario and gen stream their text; dump_scenario builds it whole.
+        text = dump_scenario(generate_channel(kind, k, 3))
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_channel(kind, k, 3), path)
+        assert path.read_bytes() == text.encode()
+        assert main(["gen", "--kind", kind, "--k", str(k), "--seed", "3"]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["gen", "--kind", kind, "--k", str(k), "--seed", "3", "--out", str(path)]) == 0
+        assert path.read_bytes() == text.encode()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ScenarioParseError):
