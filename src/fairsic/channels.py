@@ -138,8 +138,28 @@ def _product_pmf(pmfs: Iterable[np.ndarray]) -> np.ndarray:
     return np.asarray(joint)
 
 
+class _Backend:
+    """A receiver's rank function, computed only by the subclass's
+    ``_values(receiver, masks) -> list[float]`` on range-checked masks."""
+
+    def _rank(self, receiver: int, mask: int) -> float:
+        return self._values(receiver, [mask])[0]
+
+    def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
+        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, from one batch."""
+        members = list(_drop_members(self.num_users, receiver, mask))
+        values = self._values(receiver, [mask ^ 1 << k for k in members])
+        return {k + 1: value for k, value in zip(members, values)}
+
+    def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
+        """``drop_values``' least value and its exact ties ascending."""
+        values = self.drop_values(receiver, mask)
+        best = min(values.values(), default=math.inf)
+        return best, [user for user, value in values.items() if value == best]
+
+
 @dataclass(frozen=True)
-class GaussianChannel:
+class GaussianChannel(_Backend):
     """Gaussian interference channel: gains, transmit powers, noise variances.
 
     ``gains[j-1][i-1]`` is the power gain from transmitter i to receiver j.
@@ -198,12 +218,6 @@ class GaussianChannel:
     def num_users(self) -> int:
         return len(self.powers)
 
-    def _rank(self, receiver: int, mask: int) -> float:
-        row = self.received_powers[receiver - 1]
-        # Bit k-1 of the mask, read from the lowest: user k's received power.
-        interference = math.fsum(compress(row, map("1".__eq__, bin(mask)[:1:-1])))
-        return math.log2(1.0 + interference / self.noise_vars[receiver - 1])
-
     @cached_property
     def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int, float], ...]:
         """Per receiver ``(ints, scale, noise)``: power k is exactly ``ints[k] / scale``."""
@@ -215,14 +229,14 @@ class GaussianChannel:
             rows.append((ints, scale, noise))
         return tuple(rows)
 
-    def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
-        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, hex-identical."""
-        members = list(_drop_members(self.num_users, receiver, mask))
+    def _values(self, receiver: int, masks: Iterable[int]) -> list[float]:
+        """``log2(1 + power over S / noise)`` per mask, the power summed exactly in ints."""
         ints, scale, noise = self._scaled_rows[receiver - 1]
-        total = sum(ints[k] for k in members)
-        # Int true division rounds correctly, as fsum does, to fsum's float; the
-        # constructor's finite full-set sum over the noise keeps every step finite.
-        return {k + 1: math.log2(1.0 + (total - ints[k]) / scale / noise) for k in members}
+        # Bit k-1 of a mask, read from the lowest: user k's int.  Int true division
+        # rounds correctly, as fsum does, to fsum's float; the constructor's finite
+        # full-set sum over the noise keeps every step finite.
+        sums = (sum(compress(ints, map("1".__eq__, bin(mask)[:1:-1]))) for mask in masks)
+        return [math.log2(1.0 + total / scale / noise) for total in sums]
 
     @cached_property
     def _drop_orders(self) -> tuple[list[int], ...]:
@@ -232,8 +246,9 @@ class GaussianChannel:
 
     def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
         """``drop_values``' least value and its exact ties ascending: members are scored
-        in descending-int order and the scan stops at the first value above the best.
-        Every IEEE step before the log2 is monotone; ``math.log2`` is assumed to be."""
+        by ``_values``' expression in descending-int order, and the scan stops at the
+        first value above the best.  Every IEEE step before the log2 is monotone;
+        ``math.log2`` is assumed to be."""
         members = _drop_members(self.num_users, receiver, mask)
         ints, scale, noise = self._scaled_rows[receiver - 1]
         total = sum(map(ints.__getitem__, members))
@@ -249,7 +264,7 @@ class GaussianChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class DmcChannel:
+class DmcChannel(_Backend):
     """Discrete memoryless channel restricted to per-receiver output marginals.
 
     ``input_pmfs[k-1]`` is the fixed input distribution of user k; inputs
@@ -313,15 +328,6 @@ class DmcChannel:
     @property
     def output_alphabet_sizes(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.transitions)
-
-    def _rank(self, receiver: int, mask: int) -> float:
-        return self._values(receiver, [mask])[0] if mask else 0.0
-
-    def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
-        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``, from one batch."""
-        members = list(_drop_members(self.num_users, receiver, mask))
-        values = self._values(receiver, [mask ^ 1 << k for k in members])
-        return {k + 1: value for k, value in zip(members, values)}
 
     def _values(self, receiver: int, masks: list[int]) -> list[float]:
         return [v for _, kept, mass in self._ratios(receiver, masks) for v in _exact(kept, mass)]
@@ -411,7 +417,7 @@ def dmc_rank_value(channel: DmcChannel, receiver: int, users: Iterable[int]) -> 
 
 
 @dataclass(frozen=True)
-class TabulatedRanks:
+class TabulatedRanks(_Backend):
     """Explicit per-receiver tables mapping every subset bitmask to a value.
 
     Construction requires a complete table (all 2^K subsets per receiver)
@@ -457,20 +463,8 @@ class TabulatedRanks:
             owned.append(values)
         object.__setattr__(self, "tables", tuple(owned))
 
-    def _rank(self, receiver: int, mask: int) -> float:
-        return self.tables[receiver - 1][mask]
-
-    def drop_values(self, receiver: int, mask: int) -> dict[int, float]:
-        """``_rank(receiver, mask ^ bit)`` for each member of ``mask``."""
-        members = _drop_members(self.num_users, receiver, mask)
-        table = self.tables[receiver - 1]
-        return {k + 1: table[mask ^ 1 << k] for k in members}
-
-    def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
-        """``drop_values``' least value and its exact ties ascending."""
-        values = self.drop_values(receiver, mask)
-        best = min(values.values(), default=math.inf)
-        return best, [user for user, value in values.items() if value == best]
+    def _values(self, receiver: int, masks: Iterable[int]) -> list[float]:
+        return list(map(self.tables[receiver - 1].__getitem__, masks))
 
 
 Channel = Union[GaussianChannel, DmcChannel, TabulatedRanks]

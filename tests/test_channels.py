@@ -241,6 +241,8 @@ class TestDmcRank:
             dmc_rank_value(xor_dmc_channel, 1, {1})
         with pytest.raises(CapacityError, match="cap is 7"):
             xor_dmc_channel.drop_values(1, 0b11)
+        with pytest.raises(CapacityError, match="cap is 7"):
+            dmc_rank_value(xor_dmc_channel, 1, set())
         # Refused before any tensor of the receiver is built.
         assert not xor_dmc_channel._receiver_cache
 
@@ -399,6 +401,8 @@ def loop_dmc_rank_value(channel: DmcChannel, receiver: int, users) -> float:
 
 def assert_bit_identical_to_loop(channel: DmcChannel) -> None:
     for receiver in range(1, channel.num_users + 1):
+        # The kernel divides p(y | x) p(x) by p(x) p(y | x): every kept ratio is 1.
+        assert [value.hex() for value in channel._values(receiver, [0])] == [(0.0).hex()]
         for mask in range(1 << channel.num_users):
             users = mask_users(mask)
             assert dmc_rank_value(channel, receiver, users) == loop_dmc_rank_value(

@@ -545,6 +545,25 @@ PINNED_FIXTURE_STDOUT = {
     ("validate", "two_user_gaussian", "structured"): "2e3e04f4d7bcd07a52cd3f6cb6a263c0a658104354e8b1ae791b0f725aabcdd0",
     ("validate", "xor_dmc", "human"): "c50929cd51cba8033e55943248387c713f698e3a159ea29e328431d891d58488",
     ("validate", "xor_dmc", "structured"): "495af64673a79be8a648bd9064830ab57722cda903b4c70b5ff677fd37ef4973",
+    ("solve", "gaussian10", "human"): "18ffddc0fb4654100c3161d0f6649d064e422c1afd769fb68b721ff7308303fa",
+    ("solve", "gaussian10", "structured"): "fb27864e863762bdb4bb5e318dcf87ed316b786fd1494140f217f55cc82661e2",
+    ("solve", "dmc5", "human"): "a5c36dc69020de0cb1901b4492875041f7fcd1047c6c02deb4e98e0ca81ed42b",
+    ("solve", "dmc5", "structured"): "c28cef04b19b9d09898047eb5e05aa70d0e731bf0e2dd6977bd88f056750c7b9",
+    ("solve", "tabulated6", "human"): "9a99f0deca24392c83592f31c2a88b2994dd6147adfdde3f673385ee0080da0e",
+    ("solve", "tabulated6", "structured"): "ad6440f73168392d644a292db6f787d1fa7b7680378ad83230607bb6c17ea6d1",
+    ("validate", "gaussian10", "human"): "40ee95c11e4edf5471d8b43469e74723847434298fbff12ae4c4665638e3b240",
+    ("validate", "gaussian10", "structured"): "946ce9a03b00ba6110946057a632ba89ff68106cb736b931deb02f6424b51453",
+    ("validate", "dmc5", "human"): "c7d18b177430e2c0ac8f4f824e20d4201e4df171ddd2e2a6a481707acfbf9d7a",
+    ("validate", "dmc5", "structured"): "92215dfd0d4e6b17df5c147600337b2acbcc555465e92c13db3a7059f935a2c0",
+    ("validate", "tabulated6", "human"): "b96b5c2cfd6376c13a41b10f221fcc0fc58ad80236762282a766cfa1a4b64e52",
+    ("validate", "tabulated6", "structured"): "afa1a9a122e6018939fc0962e203d4f49f55b2530d784ab3f3323a5544b4ce51",
+}
+# Fixtures that `gen --seed 1` writes, as (kind, K): sizes where the greedy's
+# Gaussian scan and DMC prefilter skip candidates.
+GENERATED_FIXTURES = {
+    "gaussian10": ("gaussian", 10),
+    "dmc5": ("dmc", 5),
+    "tabulated6": ("tabulated-submodular", 6),
 }
 
 # SHA-256 of each subcommand's --help at 80 columns.  Python 3.10 to 3.13
@@ -644,8 +663,14 @@ class TestPinnedBytes:
         sorted(PINNED_FIXTURE_STDOUT),
         ids=lambda value: value,
     )
-    def test_fixture_stdout(self, capsys, command, fixture, fmt):
-        argv = [command, "--scenario", str(SCENARIOS / f"{fixture}.json")]
+    def test_fixture_stdout(self, capsys, tmp_path, command, fixture, fmt):
+        path = SCENARIOS / f"{fixture}.json"
+        if fixture in GENERATED_FIXTURES:
+            kind, num_users = GENERATED_FIXTURES[fixture]
+            path = tmp_path / f"{fixture}.json"
+            gen = ["gen", "--kind", kind, "--k", str(num_users), "--seed", "1", "--out", str(path)]
+            assert run(capsys, *gen) == (0, "", "")
+        argv = [command, "--scenario", str(path)]
         if fmt == "structured":
             argv += ["--format", "structured"]
         if command == "rates":

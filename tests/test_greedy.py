@@ -34,7 +34,7 @@ from fairsic import (
     rate_vector,
     rng_from_seed,
 )
-from fairsic.channels import mask_users
+from fairsic.channels import DEFAULT_AXIOM_TOL, mask_users
 
 from conftest import LOG2_21_11, small_dmc_channels, small_tabulated_ranks, tabulated_from_values
 
@@ -340,6 +340,23 @@ def assert_drops_are_rank_values(channel) -> None:
                 assert value.hex() == rank_value(ranks, receiver, users - {user}).hex()
 
 
+def fsum_rank(channel: GaussianChannel, receiver: int, users) -> float:
+    """Reference: the float ``math.fsum`` of the received powers over S."""
+    powers = channel.received_powers[receiver - 1]
+    interference = math.fsum(powers[u - 1] for u in users)
+    return math.log2(1.0 + interference / channel.noise_vars[receiver - 1])
+
+
+def assert_rank_values_are_fsum(channel: GaussianChannel) -> None:
+    """Every rank value, summed in scaled ints, is hex-equal to ``fsum_rank``."""
+    ranks = RankFunctionSet.for_channel(channel)
+    for receiver in range(1, channel.num_users + 1):
+        for mask in range(1 << channel.num_users):
+            users = mask_users(mask)
+            expected = fsum_rank(channel, receiver, users).hex()
+            assert rank_value(ranks, receiver, users).hex() == expected
+
+
 class TestGaussianGreedyMatchesLoop:
     @settings(max_examples=200, deadline=None)
     @given(hard_gaussian_channels())
@@ -370,6 +387,7 @@ class TestGaussianGreedyMatchesLoop:
             assert sum(ints) >= 2**1023
         assert_matches_loop(channel)
         assert_drops_are_rank_values(channel)
+        assert_rank_values_are_fsum(channel)
 
     def test_candidate_sum_lands_subnormal(self):
         # Tiny noise makes the subnormal sums left after dropping 1e-300 count.
@@ -383,6 +401,7 @@ class TestGaussianGreedyMatchesLoop:
         assert channel.drop_values(1, 0b111)[3] == math.log2(1.0 + left / 5e-324)
         assert_matches_loop(channel)
         assert_drops_are_rank_values(channel)
+        assert_rank_values_are_fsum(channel)
 
     def test_all_zero_gains(self):
         channel = GaussianChannel(
@@ -391,12 +410,21 @@ class TestGaussianGreedyMatchesLoop:
         assert channel.drop_values(1, 0b111) == {1: 0.0, 2: 0.0, 3: 0.0}
         assert_matches_loop(channel)
         assert_drops_are_rank_values(channel)
+        assert_rank_values_are_fsum(channel)
 
     @settings(max_examples=100, deadline=None)
     @given(hard_gaussian_channels(max_users=5), small_dmc_channels(), small_tabulated_ranks())
     def test_every_drop_value_is_the_rank_value(self, gaussian, dmc, tabulated):
         for channel in (gaussian, dmc, tabulated):
             assert_drops_are_rank_values(channel)
+        assert_rank_values_are_fsum(gaussian)
+
+    def test_power_sum_rounds_once(self):
+        # Left to right, 1 + 2**-53 + 2**-53 rounds to 1.0 twice; the exact sum does not.
+        gains = [[1.0, 2**-53, 2**-53], [1.0] * 3, [1.0] * 3]
+        channel = GaussianChannel(gains, [1.0] * 3, [0.5, 1.0, 1.0])
+        assert fsum_rank(channel, 1, {1, 2, 3}) != math.log2(1.0 + (1.0 + 2**-53 + 2**-53) / 0.5)
+        assert_rank_values_are_fsum(channel)
 
     @pytest.mark.parametrize("num_users", range(1, 7))
     def test_generated_dmc_drop_values(self, num_users):
@@ -574,3 +602,36 @@ class TestCheapestDrops:
         monkeypatch.setattr(fairsic.channels, "_exact", counting)
         slots = sum(len(decode_sequence(greedy_order(ranks, j))) for j in range(1, 7))
         assert sum(rows) < 2 * slots
+
+
+def largest_rank_move(channel, moved) -> float:
+    """The largest change of any rank value between two channels of one K."""
+    before, after = (RankFunctionSet.for_channel(c) for c in (channel, moved))
+    return max(
+        abs(rank_value(after, j, users) - rank_value(before, j, users))
+        for j in range(1, channel.num_users + 1)
+        for users in map(mask_users, range(1 << channel.num_users))
+    )
+
+
+class TestNearTies:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tie_heavy_gaussian_channels(max_users=6), st.data())
+    def test_one_ulp_gain_move_keeps_min_rate(self, channel, data):
+        num_users = channel.num_users
+        row, column = (data.draw(st.integers(0, num_users - 1)) for _ in range(2))
+        gains = [list(gain_row) for gain_row in channel.gains]
+        direction = data.draw(st.sampled_from([-1.0, math.inf]))
+        gains[row][column] = math.nextafter(gains[row][column], direction)
+        try:
+            moved = GaussianChannel(gains, channel.powers, channel.noise_vars)
+        except ValidationError:  # a zero gain moved below zero, or a power overflows
+            assume(False)
+        before = greedy_profile(RankFunctionSet.for_channel(channel)).min_rate
+        after = greedy_profile(RankFunctionSet.for_channel(moved)).min_rate
+        # The order may flip where a tie breaks; the max-min value moves only as far
+        # as the rank values let it, twice their move since a rate is a difference.
+        # A normal received power moves one ulp, but a subnormal one rounds in
+        # absolute steps: 0.5 x 5e-324 is 0 and one ulp more is 5e-324.
+        bound = DEFAULT_AXIOM_TOL + 2 * largest_rank_move(channel, moved)
+        assert abs(after - before) <= bound
