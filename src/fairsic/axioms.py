@@ -72,14 +72,13 @@ class AxiomReport:
 def subset_value_table(ranks: RankFunctionSet, receiver: int) -> np.ndarray:
     """All 2^K rank values of one receiver, indexed by subset bitmask.
 
-    A tabulated backend stores each table in mask order, so its values are
-    read whole; other backends go through ``rank_value`` subset by subset.
+    A tabulated table is read whole by mask through ``_values``, whatever
+    order its dicts keep; other backends go through ``rank_value`` per subset.
     """
     backend = ranks.backend
     if isinstance(backend, TabulatedRanks):
         check_receiver(backend.num_users, receiver)
-        table = backend.tables[receiver - 1]
-        return np.fromiter(table.values(), float, len(table))
+        return np.array(backend._values(receiver, range(1 << backend.num_users)))
     subsets = subsets_in_mask_order(ranks.num_users)
     return np.array([rank_value(ranks, receiver, users) for users in subsets])
 

@@ -412,8 +412,7 @@ def dmc_rank_value(channel: DmcChannel, receiver: int, users: Iterable[int]) -> 
     bit-identical to a tuple-by-tuple sum (``TestDmcMatchesTupleLoop``); raises
     CapacityError when the tensor exceeds ``DEFAULT_DMC_TERM_CAP`` elements.
     """
-    check_receiver(channel.num_users, receiver)
-    return channel._rank(receiver, check_users(channel.num_users, users))
+    return rank_value(RankFunctionSet(channel), receiver, users)
 
 
 @dataclass(frozen=True)
@@ -422,8 +421,8 @@ class TabulatedRanks(_Backend):
 
     Construction requires a complete table (all 2^K subsets per receiver)
     of finite, nonnegative real numbers, bools refused, and keeps its own
-    copy, each receiver's dict in mask order so that its values are the
-    dense table; rank-axiom compliance is *not* checked here, so violating
+    copy, read by mask through ``_values``: no reader relies on the order
+    of its dicts.  Rank-axiom compliance is *not* checked here, so violating
     tables can be built on purpose and fed to the axiom validator.
     """
 

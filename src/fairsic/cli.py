@@ -86,11 +86,7 @@ def _parse_profile_arg(text: str, num_users: int) -> DecodingProfile:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read profile from {path}: {exc}") from exc
         sequences = doc.get("profile") if isinstance(doc, dict) else doc
-        if not isinstance(sequences, list) or not all(
-            isinstance(seq, list)
-            and all(isinstance(u, int) and not isinstance(u, bool) for u in seq)
-            for seq in sequences
-        ):
+        if not isinstance(sequences, list) or not all(isinstance(seq, list) for seq in sequences):
             raise ValidationError(
                 f"profile document {path} must hold a 'profile' list of decode "
                 "sequences, each a list of integer users"

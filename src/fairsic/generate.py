@@ -7,8 +7,6 @@ the same channel.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .axioms import MAX_VALIDATABLE_USERS
@@ -17,7 +15,6 @@ from .channels import (
     DmcChannel,
     GaussianChannel,
     TabulatedRanks,
-    subsets_in_mask_order,
 )
 from .errors import ValidationError
 
@@ -72,21 +69,15 @@ def random_dmc_channel(num_users: int, rng: np.random.Generator) -> DmcChannel:
 def random_submodular_tables(
     num_users: int, rng: np.random.Generator
 ) -> TabulatedRanks:
-    """Tabulated rank functions built as log2(1 + weighted subset sums).
+    """The tabulated rank functions of a Gaussian channel with unit powers and noise.
 
-    The generating form satisfies the rank axioms, so these tables always
-    pass validation.
+    Each is log2(1 + weighted subset sums), the weights being the gains: that
+    form satisfies the rank axioms, so these tables always pass validation.
     """
-    subsets = subsets_in_mask_order(num_users)
-    tables = []
-    for _ in range(num_users):
-        weights = rng.uniform(*WEIGHT_RANGE, size=num_users).tolist()
-        tables.append(
-            {
-                mask: math.log2(1.0 + math.fsum(weights[u - 1] for u in users))
-                for mask, users in enumerate(subsets)
-            }
-        )
+    weights = [rng.uniform(*WEIGHT_RANGE, size=num_users).tolist() for _ in range(num_users)]
+    channel = GaussianChannel(weights, [1.0] * num_users, [1.0] * num_users)
+    masks = range(1 << num_users)
+    tables = (dict(zip(masks, channel._values(j, masks))) for j in range(1, num_users + 1))
     return TabulatedRanks(num_users, tuple(tables))
 
 

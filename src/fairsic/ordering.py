@@ -13,10 +13,19 @@ representable (and evaluate identically) so invariance can be tested.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
+
+
+def _users(users: Iterable[int]) -> tuple[int, ...]:
+    """Users as plain ints, numpy integers included; bools and non-integers are refused."""
+    users = tuple(users)
+    if not all(hasattr(t, "__index__") and t is not bool for t in set(map(type, users))):
+        raise ValidationError(f"decode order users must be integers, got {users}")
+    return tuple(map(operator.index, users))
 
 
 @dataclass(frozen=True)
@@ -26,7 +35,7 @@ class DecodingOrder:
     decoded_from: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(int(u) for u in self.perm))
+        object.__setattr__(self, "perm", _users(self.perm))
         num_users = len(self.perm)
         if sorted(self.perm) != list(range(1, num_users + 1)):
             raise ValidationError(
@@ -53,7 +62,7 @@ class DecodingOrder:
         ``sequence`` lists the decoded users first-decoded first and must
         end with the receiver's own user.
         """
-        sequence = tuple(int(u) for u in sequence)
+        sequence = _users(sequence)
         if not sequence or sequence[-1] != receiver:
             raise ValidationError(
                 f"decode sequence for receiver {receiver} must end with user "

@@ -188,10 +188,11 @@ def scenario_doc(channel: Channel) -> dict[str, Any]:
             "transitions": [table.tolist() for table in channel.transitions],
         }
     if isinstance(channel, TabulatedRanks):
+        masks = range(1 << channel.num_users)
         subsets = subsets_in_mask_order(channel.num_users)
         tables = [
-            [[list(users), value] for users, value in zip(subsets, table.values())]
-            for table in channel.tables
+            [[list(users), value] for users, value in zip(subsets, channel._values(j, masks))]
+            for j in range(1, channel.num_users + 1)
         ]
         return {"kind": "tabulated", "K": channel.num_users, "tables": tables}
     raise TypeError(f"unsupported channel type: {type(channel)!r}")
@@ -208,5 +209,8 @@ def write_scenario(channel: Channel, stream: TextIO) -> None:
 
 
 def save_scenario(channel: Channel, path: str | Path) -> None:
-    with open(path, "w") as stream:
-        write_scenario(channel, stream)
+    try:
+        with open(path, "w") as stream:
+            write_scenario(channel, stream)
+    except OSError as exc:
+        raise ValidationError(f"cannot write scenario to {path}: {exc}") from exc

@@ -20,6 +20,7 @@ from fairsic import (
     TabulatedRanks,
     ValidationError,
     dmc_rank_value,
+    generate_channel,
     greedy_profile,
     random_dmc_channel,
     random_gaussian_channel,
@@ -30,6 +31,7 @@ from fairsic import (
 )
 from fairsic.axioms import AxiomReport, ReceiverAxiomReport, _receiver_violations
 from fairsic.channels import PMF_TOL, check_users, mask_users
+from fairsic.generate import WEIGHT_RANGE
 
 from conftest import LOG2_1_1, LOG2_3, small_dmc_channels, tabulated_from_values
 
@@ -205,6 +207,31 @@ LIBRARY_NON_NUMBERS = {
 @pytest.mark.parametrize("backend", [GaussianChannel, DmcChannel], ids=["gaussian", "dmc"])
 def test_constructors_refuse_non_numbers(backend, name):
     args, message = LIBRARY_NON_NUMBERS[name][backend]
+    with pytest.raises(ValidationError) as excinfo:
+        backend(*args)
+    assert str(excinfo.value) == message
+
+
+# Constructor arguments of the wrong shape or count, with the refusal message.
+SHAPE_REFUSALS = [
+    (GaussianChannel, ([], [], []), "powers must be a non-empty 1-D vector"),
+    (GaussianChannel, ([[1.0]], [1.0], [1.0, 1.0]), "noise_vars length must match powers"),
+    (DmcChannel, ([], []), "at least one user required"),
+    (DmcChannel, ([[1.0]], []), "one transition table per receiver required"),
+    (DmcChannel, ([[]], [[[1.0]]]), "input pmf of user 1 must be a 1-D vector"),
+    (TabulatedRanks, (0, ()), "at least one user required"),
+    (
+        TabulatedRanks,
+        (2, ({0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0},)),
+        "one table per receiver required",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "backend, args, message", SHAPE_REFUSALS, ids=[m for _, _, m in SHAPE_REFUSALS]
+)
+def test_constructors_refuse_shapes(backend, args, message):
     with pytest.raises(ValidationError) as excinfo:
         backend(*args)
     assert str(excinfo.value) == message
@@ -490,6 +517,27 @@ class TestTabulated:
         tables[0][3] = 9.0
         assert ranks.backend.tables[0][3] == 1.5
         assert rank_value(ranks, 1, {1, 2}) == 1.5
+
+
+def weighted_log_table(weights: list[float]) -> dict[int, float]:
+    """The generator's former expression, kept as a reference: for each mask,
+    ``log2(1.0 + math.fsum(weights in S))``."""
+    return {
+        mask: math.log2(1.0 + math.fsum(w for k, w in enumerate(weights) if mask >> k & 1))
+        for mask in range(1 << len(weights))
+    }
+
+
+@pytest.mark.parametrize("num_users", range(1, 13))
+def test_submodular_tables_are_the_weighted_log_sums(num_users):
+    # The same weight rows, drawn in the same order as the generator draws them.
+    rng = rng_from_seed(num_users)
+    rows = [rng.uniform(*WEIGHT_RANGE, size=num_users).tolist() for _ in range(num_users)]
+    channel = generate_channel("tabulated-submodular", num_users, num_users)
+    for table, weights in zip(channel.tables, rows):
+        expected = weighted_log_table(weights)
+        assert list(table) == list(expected)
+        assert [v.hex() for v in table.values()] == [v.hex() for v in expected.values()]
 
 
 class TestRankDispatch:

@@ -239,6 +239,21 @@ class TestRates:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "doc", [{"profile": [[1], 2]}, {"profile": "1; 2"}, {"orders": [[1], [2]]}, 3]
+    )
+    def test_profile_file_must_hold_lists(self, capsys, tmp_path, doc):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "rates", "--scenario", TWO_USER, "--profile", f"@{path}"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: profile document {path} must hold a 'profile' list of decode "
+            "sequences, each a list of integer users\n"
+        )
+
     def test_profile_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "profile.json"
         path.write_bytes(b"\xff\xfe{")
@@ -447,6 +462,22 @@ class TestGen:
         assert out == ""
         assert err == f"error: {kind} scenarios take no power or noise; gaussian ones do\n"
 
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_out_that_cannot_be_written_is_refused(self, capsys, tmp_path, target):
+        path = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+        code, out, err = run(
+            capsys, "gen", "--kind", "dmc", "--k", "2", "--seed", "1", "--out", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write scenario to {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_generate_channel_refuses_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            generate_channel("foo", 2, 1)
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "gaussian", "--seed", "3")
         assert code == 0
@@ -481,6 +512,15 @@ class TestTolerance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --tol: must be finite and >= 0, got '{value}'" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+    def test_non_number_refused_as_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main(TOL_COMMANDS[command] + ["--tol", "abc"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol: invalid float value: 'abc'" in captured.err
 
     @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
     def test_zero_still_runs(self, capsys, command):
@@ -615,6 +655,24 @@ PINNED_FAILURES = {
         1,
         digest(""),
         "error: decode sequence for receiver 1 must end with user 1, got (2,)\n",
+    ),
+    "rates-unparsable-group": (
+        ["rates", "--scenario", TWO_USER, "--profile", "a; 2"],
+        1,
+        digest(""),
+        "error: cannot parse profile group 'a'\n",
+    ),
+    "rates-repeated-user": (
+        ["rates", "--scenario", TWO_USER, "--profile", "1,1; 2"],
+        1,
+        digest(""),
+        "error: decode sequence (1, 1) repeats a user\n",
+    ),
+    "rates-out-of-range-user": (
+        ["rates", "--scenario", TWO_USER, "--profile", "3 1; 2"],
+        1,
+        digest(""),
+        "error: decode sequence (3, 1) has out-of-range users\n",
     ),
     "gen-negative-seed": (
         ["gen", "--seed", "-1"], 1, digest(""), "error: seed must be nonnegative, got -1\n",

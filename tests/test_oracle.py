@@ -106,6 +106,10 @@ class TestEnumeration:
             enumerate_orders(5, 1)
         assert len(enumerate_orders(5, 1, EnumerationBudget(K_limit=5))) == 65
 
+    def test_budget_limit_must_be_positive(self):
+        with pytest.raises(ValueError, match="K_limit must be positive"):
+            EnumerationBudget(0)
+
 
 class TestBruteForce:
     def test_two_user_fixture(self, two_user_ranks):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fairsic import (
@@ -71,6 +72,32 @@ class TestConstruction:
     def test_profile_receiver_mismatch(self):
         with pytest.raises(ValidationError):
             DecodingProfile((order_of(2, (1, 2)),))
+
+    def test_rejects_decoded_from_out_of_range(self):
+        with pytest.raises(ValidationError, match="decoded_from 2 out of range"):
+            DecodingOrder(1, (1,), 2)
+
+    def test_profile_orders_must_cover_the_same_users(self):
+        with pytest.raises(ValidationError, match="same user set"):
+            DecodingProfile((order_of(1, (1, 2)), order_of(2, (1, 2, 3))))
+
+    @pytest.mark.parametrize(
+        "sequence", [[2.9, 1.2], [2, 1.0], ["2", 1], [True, 1], [[2], 1], [2, None, 1]]
+    )
+    def test_decode_sequence_refuses_non_integer_users(self, sequence):
+        with pytest.raises(ValidationError, match="users must be integers"):
+            DecodingOrder.from_decode_sequence(1, sequence, 2)
+
+    @pytest.mark.parametrize("perm", [("1", 2.0), (2.0, 1.0), (False, 1), ((2,), 1)])
+    def test_order_refuses_non_integer_users(self, perm):
+        with pytest.raises(ValidationError, match="users must be integers"):
+            DecodingOrder(2, perm, 2)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        order = DecodingOrder.from_decode_sequence(1, np.array([2, 1]), 2)
+        assert order.perm == (1, 2) and all(type(u) is int for u in order.perm)
+        order = DecodingOrder(2, (np.int32(1), np.uint8(2)), 2)
+        assert order.perm == (1, 2) and all(type(u) is int for u in order.perm)
 
 
 class TestRendering:

@@ -240,6 +240,11 @@ MALFORMED_DOCS = {
         dict(DMC_DOC, transitions=[HALF_ROWS[:3] + [[1.0]], HALF_ROWS]),
         "transitions",
     ),
+    "list for a document": ([], "must be a JSON object"),
+    "tabulated entry without a subset list": (
+        _receiver_1_table([[[], 0.0], [1, 0.5], [[2], 0.7], [[1, 2], 1.0]]),
+        "entries must be",
+    ),
 }
 
 
@@ -377,6 +382,11 @@ def test_short_table_with_many_users_refused_at_once(tmp_path, capsys):
         "subsets; missing masks [1, 2, 3, 4]...\n"
     )
     assert elapsed < 1.0
+
+
+def test_scenario_doc_refuses_other_types():
+    with pytest.raises(TypeError, match="unsupported channel type"):
+        scenario_doc(object())
 
 
 class TestFiles:
