@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channels import (
     DEFAULT_AXIOM_TOL,
     RankFunctionSet,
@@ -75,6 +73,7 @@ def subset_value_table(ranks: RankFunctionSet, receiver: int) -> np.ndarray:
     A tabulated table is read whole by mask through ``_values``, whatever
     order its dicts keep; other backends go through ``rank_value`` per subset.
     """
+    import numpy as np
     backend = ranks.backend
     if isinstance(backend, TabulatedRanks):
         check_receiver(backend.num_users, receiver)
@@ -88,6 +87,7 @@ def _receiver_violations(tables: np.ndarray) -> list[tuple[float, float, float]]
 
     ``tables`` holds one receiver's 2^K values per row, indexed by mask.
     """
+    import numpy as np
     receivers, size = tables.shape
     # Superset minimum g(s) = min f(T) over T >= s, one bit per pass.  The
     # drop to report is f(s) minus the minimum over strict supersets; g(s)
@@ -147,6 +147,7 @@ def validate_rank_axioms(
             f"axiom validation enumerates all subset pairs and is limited to "
             f"K <= {MAX_VALIDATABLE_USERS}, got K = {ranks.num_users}"
         )
+    import numpy as np
     tables = np.array(
         [subset_value_table(ranks, receiver) for receiver in range(1, ranks.num_users + 1)]
     )

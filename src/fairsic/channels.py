@@ -24,8 +24,6 @@ from functools import cached_property
 from itertools import chain, compress, islice
 from typing import Any, ClassVar, Iterable, Iterator, Mapping, Union
 
-import numpy as np
-
 from .errors import CapacityError, IncompleteTableError, ValidationError
 
 PMF_TOL = 1e-12
@@ -107,6 +105,7 @@ def _check_pmfs(rows: np.ndarray, label: str) -> None:
     """Require every row of a 2-D array to be a pmf; ``label.format(row)`` names the
     first bad row.  A bulk sum of n nonnegative entries is within n eps of
     ``math.fsum``'s, so only rows not clearly inside ``PMF_TOL`` are summed again."""
+    import numpy as np
     broken = (rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1)
     margin = rows.shape[1] * sys.float_info.epsilon
     with np.errstate(over="ignore"):  # an inf sum is unclear: fsum reports it
@@ -126,12 +125,14 @@ def _check_pmfs(rows: np.ndarray, label: str) -> None:
 
 def _exact(kept: np.ndarray, mass: np.ndarray) -> list[float]:
     """Per row, ``math.fsum(mass * math.log2(kept))``: ``np.log2`` may be an ulp off."""
+    import numpy as np
     logs = np.fromiter(map(math.log2, kept.ravel().tolist()), float, kept.size)
     return list(map(math.fsum, (logs.reshape(kept.shape) * mass).tolist()))
 
 
 def _product_pmf(pmfs: Iterable[np.ndarray]) -> np.ndarray:
     """Joint pmf of independent inputs, multiplied left to right from 1.0."""
+    import numpy as np
     joint = np.float64(1.0)
     for pmf in pmfs:
         joint = np.multiply.outer(joint, pmf)
@@ -284,6 +285,7 @@ class DmcChannel(_Backend):
     _subset_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
         pmfs = tuple(
             np.array(_numbers(pmf, f"input_pmfs of user {k}"))
             for k, pmf in enumerate(self.input_pmfs, start=1)
@@ -343,6 +345,7 @@ class DmcChannel(_Backend):
         (n + 1) 2^-1074 of A, leaving 15 eps S of err for rounding err and A +- err.
         Only candidates whose A - err reaches the least A + err can be least or tie;
         they, and any with a non-finite bound, are scored by ``_exact`` on their rows."""
+        import numpy as np
         members = list(_drop_members(self.num_users, receiver, mask))
         best, tied = math.inf, []
         for start, kept, mass in self._ratios(receiver, [mask ^ 1 << k for k in members]):
@@ -363,6 +366,7 @@ class DmcChannel(_Backend):
         """The one DMC evaluation path: per buffer of at most ``DEFAULT_DMC_TERM_CAP`` terms,
         its first mask's index, p(y | x) p(x_outside) / p(x_outside, y) at p(x, y)'s nonzero
         terms (a row per mask; S summed as a tuple loop sums), and those terms' masses."""
+        import numpy as np
         joint, out_size = self.transitions[receiver - 1].shape
         cap = DEFAULT_DMC_TERM_CAP
         if joint * out_size > cap:

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: solve, rates, certify, validate, gen.  Exit codes: 0 success or
-pass, 1 validation failure (including refusal of non-rank inputs), 2
-scenario parse error, 3 enumeration budget exceeded, 4 certification
-failure.  Output is deterministic: identical inputs produce byte-identical
-output; certify's --jobs is accepted for compatibility and has no effect.
+pass, 1 validation failure (including refusal of non-rank inputs, and of a
+command that needs numpy where it is not installed), 2 scenario parse
+error, 3 enumeration budget exceeded, 4 certification failure.  Output is
+deterministic: identical inputs produce byte-identical output; certify's
+--jobs is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -297,6 +298,13 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in ERROR_EXITS.items() if isinstance(exc, kind))
+    except ModuleNotFoundError as exc:
+        # numpy is imported where it computes: Gaussian commands run without it.
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} on this input needs numpy, which is not installed",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

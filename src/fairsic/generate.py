@@ -7,8 +7,6 @@ the same channel.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .axioms import MAX_VALIDATABLE_USERS
 from .channels import (
     DEFAULT_DMC_TERM_CAP,
@@ -27,6 +25,7 @@ GENERATOR_KINDS = ("gaussian", "dmc", "tabulated-submodular")
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.PCG64(seed))
 
 

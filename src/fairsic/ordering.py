@@ -20,11 +20,11 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 
 
-def _users(users: Iterable[int]) -> tuple[int, ...]:
+def _users(users: Iterable[int], label: str = "users") -> tuple[int, ...]:
     """Users as plain ints, numpy integers included; bools and non-integers are refused."""
     users = tuple(users)
     if not all(hasattr(t, "__index__") and t is not bool for t in set(map(type, users))):
-        raise ValidationError(f"decode order users must be integers, got {users}")
+        raise ValidationError(f"decode order {label} must be integers, got {users}")
     return tuple(map(operator.index, users))
 
 
@@ -35,6 +35,9 @@ class DecodingOrder:
     decoded_from: int
 
     def __post_init__(self) -> None:
+        receiver, decoded_from = _users((self.receiver, self.decoded_from), "receiver and position")
+        object.__setattr__(self, "receiver", receiver)
+        object.__setattr__(self, "decoded_from", decoded_from)
         object.__setattr__(self, "perm", _users(self.perm))
         num_users = len(self.perm)
         if sorted(self.perm) != list(range(1, num_users + 1)):

@@ -93,6 +93,13 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="users must be integers"):
             DecodingOrder(2, perm, 2)
 
+    @pytest.mark.parametrize(
+        "receiver, perm, decoded_from", [(1.0, (2, 1), 2), (True, (1, 2), 1), (2, (1, 2), 2.0)]
+    )
+    def test_order_refuses_non_integer_receiver_or_position(self, receiver, perm, decoded_from):
+        with pytest.raises(ValidationError, match="receiver and position must be integers"):
+            DecodingOrder(receiver, perm, decoded_from)
+
     def test_numpy_integers_are_stored_as_ints(self):
         order = DecodingOrder.from_decode_sequence(1, np.array([2, 1]), 2)
         assert order.perm == (1, 2) and all(type(u) is int for u in order.perm)
