@@ -16,7 +16,7 @@ from fairsic import (
     rng_from_seed,
     validate_rank_axioms,
 )
-from fairsic.axioms import _receiver_violations, subset_value_table
+from fairsic.axioms import _incomparable_pairs_lose, _receiver_violations, subset_value_table
 from fairsic.channels import DEFAULT_AXIOM_TOL, mask_users
 
 from conftest import tabulated_from_values
@@ -266,3 +266,113 @@ class TestScanMatchesLoop:
             )
             tables.append(list(modular_table(weights)))
         assert_matches_loop(tables)
+
+
+def assert_validation_matches_loop(tables, certified):
+    """``validate_rank_axioms`` on ``tables`` reports what the per-pair loop
+    computes, bit for bit, and each receiver took the tier ``certified``
+    names: True for the comparable pairs only, False for every pair."""
+    tables = np.array(tables, dtype=float)
+    num_users = tables.shape[1].bit_length() - 1
+    ranks = RankFunctionSet.for_channel(
+        TabulatedRanks(num_users, tuple(dict(enumerate(map(float, t))) for t in tables))
+    )
+    report = validate_rank_axioms(ranks)
+    found = [
+        (r.normalization_violation, r.monotonicity_violation, r.submodularity_violation)
+        for r in report.receivers
+    ]
+    assert repr(found) == repr([loop_receiver_violations(table) for table in tables])
+    assert _incomparable_pairs_lose(tables).tolist() == list(certified)
+    return report
+
+
+class TestCertifiedScan:
+    """The scan skips incomparable pairs only where local second differences
+    prove they cannot raise the reported maximum; either tier reports what
+    the per-pair loop does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_concave_of_modular_over_120_db(self, data):
+        # Strictly submodular at every scale from 1e-6 to 1e6: comparable pairs only.
+        num_users = data.draw(st.integers(2, 7))
+        tables = []
+        for _ in range(num_users):
+            weights = data.draw(
+                st.lists(st.floats(0.1, 2.0), min_size=num_users, max_size=num_users)
+            )
+            scale = 10.0 ** data.draw(st.floats(-6.0, 6.0))
+            tables.append(np.log2(1.0 + modular_table(weights)) * scale)
+        report = assert_validation_matches_loop(tables, [True] * num_users)
+        assert report.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_modular_and_zero_tables_scan_every_pair(self, data):
+        # Every exact local difference is 0 and w is within rounding of it.
+        num_users = data.draw(st.integers(2, 6))
+        weight = st.one_of(st.integers(0, 1000).map(float), st.floats(0.0, 1e3))
+        tables = [np.zeros(1 << num_users)] + [
+            modular_table(data.draw(st.lists(weight, min_size=num_users, max_size=num_users)))
+            for _ in range(num_users - 1)
+        ]
+        assert_validation_matches_loop(tables, [False] * num_users)
+
+    @settings(max_examples=40, deadline=None)
+    @given(exponent=st.integers(-1022, 1019))
+    def test_local_difference_nudged_across_the_bound(self, exponent):
+        # f(S) = h(|S|) with M = h(3) = 2.5, so 16 eps M = 10 units of 4 eps,
+        # and every value and sum exact at any power-of-two scale.  The top
+        # local difference h(3) + h(1) - 2 h(2) is -9 units, just above the
+        # bound (every pair), or -11, just below it (comparable pairs only).
+        unit = 4 * np.finfo(float).eps
+        tables = []
+        for top in (-9 * unit, -11 * unit):
+            h = [0.0, 1.5 + top, 2.0, 2.5]
+            tables.append([math.ldexp(h[bin(mask).count("1")], exponent) for mask in range(8)])
+        tables.append([0.0] * 8)
+        assert_validation_matches_loop(tables, [False, True, False])
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32), receiver=st.integers(1, 8))
+    def test_perturbed_receiver_falls_back(self, seed, receiver):
+        # As the benchmark's refused tables: one receiver's full-set value is
+        # raised just past its tightest inequality, so only it scans every pair.
+        num_users = 8
+        ranks = RankFunctionSet.for_channel(
+            generate_channel("tabulated-submodular", num_users, seed)
+        )
+        tables = [subset_value_table(ranks, j) for j in range(1, num_users + 1)]
+        full = (1 << num_users) - 1
+        pushed = tables[receiver - 1]
+        slack = min(
+            pushed[full ^ 1 << i] + pushed[full ^ 1 << k] - pushed[full] - pushed[full ^ 1 << i ^ 1 << k]
+            for i in range(num_users)
+            for k in range(i + 1, num_users)
+        )
+        pushed[full] += slack + 1.01 * DEFAULT_AXIOM_TOL
+        report = assert_validation_matches_loop(
+            tables, [j != receiver for j in range(1, num_users + 1)]
+        )
+        assert not report.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300), min_size=2, max_size=2))
+    def test_single_user(self, table):
+        # K = 1 has no incomparable pair: w is -inf.
+        assert_validation_matches_loop([table], [True])
+
+
+@pytest.mark.parametrize("value", [2.0**1021, 1e308, 1.7976931348623157e308])
+def test_values_near_float_max_refused_before_the_scan(value):
+    ranks = tabulated_from_values([(0.0, value, value, value), (0.0, 1.0, 1.0, 2.0)])
+    with pytest.raises(ValidationError, match=r"below 2\^1021, got"):
+        validate_rank_axioms(RankFunctionSet.for_channel(ranks))
+
+
+def test_values_just_below_the_limit_scan_without_overflow():
+    # Any overflow would be a RuntimeWarning, an error under this suite.
+    big = math.nextafter(2.0**1021, 0.0)
+    tables = [[0.0, big, big, big], [0.0, big / 2, big / 2, big]]
+    assert_validation_matches_loop(tables, [True, False])

@@ -6,7 +6,8 @@ import pytest
 
 import fairsic.channels
 import fairsic.generate
-from fairsic import ValidationError, generate_channel
+from fairsic import TabulatedRanks, ValidationError, generate_channel, load_scenario, save_scenario
+from fairsic.channels import DEFAULT_AXIOM_TOL
 from fairsic.cli import main
 
 from conftest import LOG2_4_3, LOG2_21_11
@@ -343,6 +344,25 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--scenario", path)
         assert code == 1
 
+    def test_tol_zero_reports_a_comparable_pair_residue(self, capsys):
+        # log2(1 + SNR) is submodular analytically; the rounding residue of a
+        # pair with one set inside the other is what --tol 0 refuses.
+        code, out, err = run(capsys, "validate", "--tol", "0", "--scenario", TWO_USER)
+        assert (code, err) == (1, "")
+        assert (
+            "  receiver 2: normalization 0.0, monotonicity 0.0, "
+            "submodularity 1.1102230246251565e-16 -> FAIL\n"
+        ) in out
+
+    def test_forced_solve_near_float_max(self, capsys, tmp_path):
+        # The axiom scan refuses such values (PINNED_FAILURES); a forced solve
+        # skips it and solves as before.
+        row = [0.0, 1e308, 1e308, 1.5e308]
+        path = write_tables(tmp_path, "near_max.json", row, row)
+        code, out, err = run(capsys, "solve", "--scenario", path, "--force")
+        assert (code, err) == (0, "")
+        assert "min rate: 5e+307\n" in out
+
 
 def _pinned_gen(kind, k, digest):
     # The K=4 ids stay "kind-digest", as before K was a parameter.
@@ -616,6 +636,8 @@ PINNED_HELP = {
     "gen": "c7219694b5b49e18e1cbddf411f03b78db4a78bfc3c4f754a9791d71dc30d19e",
 }
 
+NEAR_MAX = "error: axiom validation needs rank values below 2^1021, got 1.5e+308\n"
+
 NOT_RANK = (
     "error: tabulated backend violates the rank axioms; greedy optimality is "
     "only guaranteed for rank functions (pass --force, or force=True, to solve "
@@ -712,6 +734,22 @@ PINNED_FAILURES = {
         "4cc10ee5ae8ddfb0036d381131eb02f90c2dd2ed3954b9563a8717479220ea0b",
         "",
     ),
+    # A rank function whose values near the float maximum would overflow the
+    # axiom scan: refused before it, with no numpy warning.
+    "validate-near-float-max": (
+        ["validate", "--scenario", "<tmp>/near_max.json"], 1, digest(""), NEAR_MAX,
+    ),
+    "solve-near-float-max": (
+        ["solve", "--scenario", "<tmp>/near_max.json"], 1, digest(""), NEAR_MAX,
+    ),
+}
+
+# SHA-256 of `validate --format structured` on `gen --kind tabulated-submodular
+# --k 10 --seed 1`, as generated and with receiver 1's full-set value raised
+# just past the tolerance: the axiom scan's two tiers.
+PINNED_TABULATED10_VALIDATE = {
+    "generated": (0, "bf4283ac2a5d95482dae71c89622427a5731b18bedd5e74d91ebdaa098915ef2"),
+    "pushed": (1, "910336c76fd18c2054c41f7397475cf1c7179eba3e9ad2d8d275115b1321f812"),
 }
 
 
@@ -741,6 +779,8 @@ class TestPinnedBytes:
         write_tables(tmp_path, "not_rank.json", [0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0])
         # The oracle beats the greedy by 2.5 on this table.
         write_tables(tmp_path, "gap.json", [0.0, 1.0, 1.0, 4.0], [0.0, 0.5, 0.5, 4.0])
+        near_max = [0.0, 1e308, 1e308, 1.5e308]
+        write_tables(tmp_path, "near_max.json", near_max, near_max)
         gaussian = {"kind": "gaussian", "K": 2, "gains": [[1.0, 2.0]]}
         gaussian.update(powers=[1.0, 1.0], noise_vars=[1.0, 1.0])
         (tmp_path / "malformed.json").write_text(json.dumps(gaussian))
@@ -751,6 +791,26 @@ class TestPinnedBytes:
         argv = [arg.replace("<tmp>", str(tmp_path)) for arg in argv]
         got_code, out, err = run(capsys, *argv)
         assert (got_code, digest(out), err) == (code, stdout_digest, stderr)
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_TABULATED10_VALIDATE))
+    def test_tabulated10_validate(self, capsys, tmp_path, variant):
+        path = tmp_path / "tabulated10.json"
+        gen = ["gen", "--kind", "tabulated-submodular", "--k", "10", "--seed", "1"]
+        assert run(capsys, *gen, "--out", str(path)) == (0, "", "")
+        if variant == "pushed":
+            channel = load_scenario(path)
+            full = (1 << 10) - 1
+            table = dict(channel.tables[0])
+            slack = min(
+                table[full ^ 1 << i] + table[full ^ 1 << k] - table[full]
+                - table[full ^ 1 << i ^ 1 << k]
+                for i in range(10)
+                for k in range(i + 1, 10)
+            )
+            table[full] += slack + 1.01 * DEFAULT_AXIOM_TOL
+            save_scenario(TabulatedRanks(10, (table, *channel.tables[1:])), path)
+        code, out, err = run(capsys, "validate", "--scenario", str(path), "--format", "structured")
+        assert (code, digest(out), err) == (*PINNED_TABULATED10_VALIDATE[variant], "")
 
     def test_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
