@@ -271,16 +271,13 @@ class DmcChannel(_Backend):
     ``input_pmfs[k-1]`` is the fixed input distribution of user k; inputs
     are independent across users.  ``transitions[j-1]`` has one row per
     joint input tuple (row-major over (x_1, ..., x_K)) holding a pmf over
-    receiver j's output alphabet.  ``joint_input_pmf`` caches the product
-    law of the inputs as a (|X_1|, ..., |X_K|) array.  The fields are
-    read-only arrays, which have no truth value, so channels compare and
-    hash by identity.
+    receiver j's output alphabet.  The fields are read-only arrays, which
+    have no truth value, so channels compare and hash by identity.
     """
 
     kind: ClassVar[str] = "dmc"
     input_pmfs: tuple[np.ndarray, ...]
     transitions: tuple[np.ndarray, ...]
-    joint_input_pmf: np.ndarray = field(init=False, repr=False, compare=False)
     _receiver_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _subset_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -312,12 +309,10 @@ class DmcChannel(_Backend):
                     f"joint input tuple of input pmfs of sizes {[p.shape[0] for p in pmfs]}"
                 )
             _check_pmfs(table, f"transition row {{}} of receiver {j}")
-        joint_pmf = _product_pmf(pmfs)
-        for array in (*pmfs, *tables, joint_pmf):
+        for array in (*pmfs, *tables):
             array.setflags(write=False)
         object.__setattr__(self, "input_pmfs", pmfs)
         object.__setattr__(self, "transitions", tables)
-        object.__setattr__(self, "joint_input_pmf", joint_pmf)
 
     @cached_property
     def num_users(self) -> int:
@@ -376,7 +371,7 @@ class DmcChannel(_Backend):
         terms = self._receiver_cache.get(receiver)
         if terms is None:
             lik = self.transitions[receiver - 1].reshape(self.input_alphabet_sizes + (-1,))
-            mass = self.joint_input_pmf[..., np.newaxis] * lik  # p(x, y)
+            mass = self._subset_terms(0)[3] * lik  # p(x, y): S = {} leaves p(x_outside) = p(x)
             # 0 log 0 = 0 for every term whose mass is zero, underflow included.
             keep = np.flatnonzero(mass)
             terms = self._receiver_cache[receiver] = (lik, mass, keep, mass.ravel()[keep])

@@ -98,12 +98,12 @@ def greedy_profile(
     tol: float = DEFAULT_AXIOM_TOL,
     force: bool = False,
 ) -> SolveReport:
-    """Run the greedy order per receiver and evaluate the resulting rates."""
+    """Run the greedy order per receiver and evaluate its rates, clamped at ``tol``."""
     ensure_rank_input(ranks, tol=tol, force=force)
     profile = DecodingProfile(
         tuple(greedy_order(ranks, j, force=True) for j in range(1, ranks.num_users + 1))
     )
-    rates = rate_vector(ranks, profile)
+    rates = rate_vector(ranks, profile, clamp_tol=tol)
     value, bottleneck = min_rate(rates)
     decoded = tuple(map(decoded_set, profile.orders))
     return SolveReport(

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .channels import DEFAULT_AXIOM_TOL, RankFunctionSet
+from .channels import DEFAULT_AXIOM_TOL, RankFunctionSet, check_receiver
 from .errors import CapacityError
-from .greedy import SolveReport, greedy_profile
+from .greedy import SolveReport, ensure_rank_input, greedy_profile
 from .ordering import DecodingOrder, DecodingProfile
 from .rates import receiver_rate_bounds
 
@@ -35,6 +35,13 @@ class EnumerationBudget:
     def __post_init__(self) -> None:
         if self.K_limit < 1:
             raise ValueError("K_limit must be positive")
+
+    def check(self, num_users: int) -> None:
+        """Refuse enumeration past ``K_limit`` with ``CapacityError``."""
+        if num_users > self.K_limit:
+            raise CapacityError(
+                f"enumeration is limited to K <= {self.K_limit}, got K = {num_users}"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,31 +77,26 @@ def count_orders(num_users: int) -> int:
 def enumerate_orders(
     num_users: int, receiver: int, budget: EnumerationBudget | None = None
 ) -> list[DecodingOrder]:
-    """Every distinct decoding configuration for one receiver.
+    """Every distinct decoding configuration for one receiver, by ascending ``perm``.
 
     Covers each subset containing the receiver's own user, in every decode
-    order ending with that user, prefix canonical.
+    order ending with that user, prefix canonical: the permutations whose
+    users before the receiver's own are ascending.
     """
-    budget = budget or EnumerationBudget()
-    if num_users > budget.K_limit:
-        raise CapacityError(
-            f"enumeration is limited to K <= {budget.K_limit}, got K = {num_users}"
-        )
-    others = [u for u in range(1, num_users + 1) if u != receiver]
-    orders = []
-    for decoded_before in range(num_users):
-        for head in permutations(others, decoded_before):
-            orders.append(
-                DecodingOrder.from_decode_sequence(
-                    receiver, head + (receiver,), num_users
-                )
-            )
-    return orders
+    (budget or EnumerationBudget()).check(num_users)
+    check_receiver(num_users, receiver)
+    return [
+        DecodingOrder(receiver, perm, len(prefix) + 1)
+        for perm in permutations(range(1, num_users + 1))
+        if list(prefix := perm[: perm.index(receiver)]) == sorted(prefix)
+    ]
 
 
 def brute_force_maxmin(
     ranks: RankFunctionSet,
     budget: EnumerationBudget | None = None,
+    *,
+    tol: float = DEFAULT_AXIOM_TOL,
 ) -> BruteForceResult:
     """True max-min optimum over every joint decoding profile.
 
@@ -102,17 +104,14 @@ def brute_force_maxmin(
     imposes, the optimum is ``v* = min_j max_c m_j(c)``, as the module
     docstring derives.  Taking each receiver's first configuration with
     ``m_j(c) >= v*`` in perm-sorted order yields the optimum with the
-    lexicographically smallest concatenated permutation encoding.
+    lexicographically smallest concatenated permutation encoding.  ``tol`` clamps each cap.
     """
-    budget = budget or EnumerationBudget()
-    num_users = ranks.num_users
     per_receiver = [
-        sorted(enumerate_orders(num_users, j, budget), key=lambda o: o.perm)
-        for j in range(1, num_users + 1)
+        enumerate_orders(ranks.num_users, j, budget) for j in range(1, ranks.num_users + 1)
     ]
     total = math.prod(len(orders) for orders in per_receiver)
     config_min = [
-        [min(receiver_rate_bounds(ranks, order).values()) for order in orders]
+        [min(receiver_rate_bounds(ranks, order, clamp_tol=tol).values()) for order in orders]
         for orders in per_receiver
     ]
     threshold = min(max(caps) for caps in config_min)
@@ -139,10 +138,13 @@ def certify(
 ) -> CertificationReport:
     """Compare the greedy solution against the exhaustive optimum.
 
+    The axiom gate, then the budget, refuse before the greedy runs.
     ``jobs`` is accepted for compatibility and has no effect.
     """
-    greedy = greedy_profile(ranks, tol=tol, force=force)
-    oracle = brute_force_maxmin(ranks, budget)
+    ensure_rank_input(ranks, tol=tol, force=force)
+    (budget or EnumerationBudget()).check(ranks.num_users)
+    greedy = greedy_profile(ranks, tol=tol, force=True)
+    oracle = brute_force_maxmin(ranks, budget, tol=tol)
     gap = abs(oracle.opt_min_rate - greedy.min_rate)
     passed = gap <= tol
     return CertificationReport(

@@ -38,14 +38,11 @@ def receiver_rate_bounds(
     prefix through the user minus the rank value of the prefix before it.
     Sub-tolerance negative differences clamp to zero.
     """
-    prefix = set(order.perm[: order.decoded_from - 1])
-    previous = rank_value(ranks, order.receiver, prefix)
+    previous = rank_value(ranks, order.receiver, order.perm[: order.decoded_from - 1])
     bounds: dict[int, float] = {}
     for position in range(order.decoded_from, order.num_users + 1):
-        user = order.perm[position - 1]
-        prefix.add(user)
-        current = rank_value(ranks, order.receiver, prefix)
-        bounds[user] = _clamped(current - previous, clamp_tol)
+        current = rank_value(ranks, order.receiver, order.perm[:position])
+        bounds[order.perm[position - 1]] = _clamped(current - previous, clamp_tol)
         previous = current
     return bounds
 

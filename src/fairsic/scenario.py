@@ -168,34 +168,28 @@ def load_scenario(path: str | Path) -> Channel:
     return parse_scenario(doc)
 
 
+def _plain(value: Any) -> Any:
+    """A channel field as JSON values: tuples and arrays become lists."""
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
 def scenario_doc(channel: Channel) -> dict[str, Any]:
-    """Serializable document for a channel, with frozen field order."""
-    if isinstance(channel, GaussianChannel):
-        return {
-            "kind": "gaussian",
-            "K": channel.num_users,
-            "gains": list(map(list, channel.gains)),
-            "powers": list(channel.powers),
-            "noise_vars": list(channel.noise_vars),
-        }
-    if isinstance(channel, DmcChannel):
-        return {
-            "kind": "dmc",
-            "K": channel.num_users,
-            "input_alphabet_sizes": list(channel.input_alphabet_sizes),
-            "output_alphabet_sizes": list(channel.output_alphabet_sizes),
-            "input_pmfs": [pmf.tolist() for pmf in channel.input_pmfs],
-            "transitions": [table.tolist() for table in channel.transitions],
-        }
+    """Serializable document for a channel, with frozen field order: the
+    fields ``_KINDS`` lists for its kind."""
+    if not isinstance(channel, Channel):
+        raise TypeError(f"unsupported channel type: {type(channel)!r}")
+    doc = {"kind": channel.kind, "K": channel.num_users}
     if isinstance(channel, TabulatedRanks):
         masks = range(1 << channel.num_users)
         subsets = subsets_in_mask_order(channel.num_users)
-        tables = [
+        doc["tables"] = [
             [[list(users), value] for users, value in zip(subsets, channel._values(j, masks))]
             for j in range(1, channel.num_users + 1)
         ]
-        return {"kind": "tabulated", "K": channel.num_users, "tables": tables}
-    raise TypeError(f"unsupported channel type: {type(channel)!r}")
+        return doc
+    return {**doc, **{name: _plain(getattr(channel, name)) for name in _KINDS[channel.kind][1]}}
 
 
 def dump_scenario(channel: Channel) -> str:

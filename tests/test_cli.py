@@ -6,6 +6,7 @@ import pytest
 
 import fairsic.channels
 import fairsic.generate
+import fairsic.oracle
 from fairsic import TabulatedRanks, ValidationError, generate_channel, load_scenario, save_scenario
 from fairsic.channels import DEFAULT_AXIOM_TOL
 from fairsic.cli import main
@@ -317,6 +318,34 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--scenario", TABULATED)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "kind, code, message",
+        [
+            pytest.param("gaussian", 3, "enumeration is limited to K <= 4", id="gaussian"),
+            pytest.param("supermodular", 1, "rank axioms", id="not-rank"),
+        ],
+    )
+    def test_refusals_come_before_the_greedy(
+        self, capsys, monkeypatch, tmp_path, kind, code, message
+    ):
+        # The axiom gate runs first, so exit 1 outranks exit 3; then the budget.
+        def never(*args, **kwargs):
+            raise AssertionError("the greedy ran before a refusal")
+
+        monkeypatch.setattr(fairsic.oracle, "greedy_profile", never)
+        if kind == "gaussian":
+            channel = generate_channel("gaussian", 5, 1)
+        else:
+            # Squared subset sizes: monotone and normalized, not submodular.
+            table = {mask: float(bin(mask).count("1") ** 2) for mask in range(32)}
+            channel = TabulatedRanks(5, (table,) * 5)
+        path = tmp_path / f"{kind}5.json"
+        save_scenario(channel, path)
+        result = run(capsys, "certify", "--scenario", str(path))
+        assert result[0] == code
+        assert result[1] == ""
+        assert result[2].startswith("error: ") and message in result[2]
+
     def test_dmc_term_cap_exits_3(self, capsys, monkeypatch):
         # The XOR channel needs 4 joint tuples x 2 outputs = 8 elements.
         monkeypatch.setattr(fairsic.channels, "DEFAULT_DMC_TERM_CAP", 7)
@@ -325,6 +354,46 @@ class TestCertify:
         assert out == ""
         assert err.startswith("error: ") and "cap is 7" in err
         assert "Traceback" not in err
+
+
+class TestToleranceAgrees:
+    """``--tol`` is one threshold for ``validate``, ``solve`` and ``certify``.
+
+    Both receivers lose ``drop`` from {1} or {2} to {1, 2}: a monotonicity
+    violation the gate admits below the tolerance, and a negative marginal
+    that every rate clamp then takes to zero.
+    """
+
+    @staticmethod
+    def near_monotone(tmp_path, drop):
+        row = [0, 1.0, 1.0, 1.0 - drop]
+        return write_tables(tmp_path, "near_monotone.json", row, row)
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "certify"])
+    def test_drop_below_tol_passes(self, capsys, tmp_path, command):
+        path = self.near_monotone(tmp_path, 5e-9)
+        code, out, err = run(capsys, command, "--tol", "1e-8", "--scenario", path)
+        assert (code, err) == (0, "")
+        if command == "certify":
+            assert "gap: 0.0\n" in out and "certification: PASS" in out
+        if command == "solve":
+            assert "min rate: 0.0\n" in out
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "certify"])
+    def test_drop_above_tol_is_refused_at_the_gate(self, capsys, tmp_path, command):
+        path = self.near_monotone(tmp_path, 2e-8)
+        code, out, err = run(capsys, command, "--tol", "1e-8", "--scenario", path)
+        assert code == 1
+        if command == "validate":
+            assert "axioms: FAIL" in out
+        else:
+            assert out == "" and "rank axioms" in err
+
+    def test_default_tol_refuses_the_smaller_drop(self, capsys, tmp_path):
+        path = self.near_monotone(tmp_path, 5e-9)
+        code, out, err = run(capsys, "solve", "--scenario", path)
+        assert (code, out) == (1, "")
+        assert "rank axioms" in err
 
 
 class TestValidate:
@@ -398,6 +467,17 @@ class TestGen:
                 "tabulated-submodular",
                 4,
                 "e7f2989af49b9f9f1df490eeb741da2aa044d045218262c6218efaa3dedf65a0",
+            ),
+            _pinned_gen(
+                "gaussian", 8, "a92ffffa64251f12256b85ad81e697ba402b72fdfe0a8c41079c1441f33429b2"
+            ),
+            _pinned_gen(
+                "dmc", 2, "aea3e5357af542b517a1a55e71b47df6f96de78a49521e73031a3da2b72836d9"
+            ),
+            _pinned_gen(
+                "tabulated-submodular",
+                6,
+                "fc67936682b450d344867ce7b3512b9fa88b0e86a5c3dfca9749e15496844df5",
             ),
         ],
     )

@@ -5,9 +5,11 @@ import pytest
 
 from fairsic import (
     CapacityError,
+    DecodingOrder,
     DecodingProfile,
     EnumerationBudget,
     GaussianChannel,
+    NonRankInputError,
     RankFunctionSet,
     TabulatedRanks,
     brute_force_maxmin,
@@ -97,6 +99,24 @@ class TestEnumeration:
                 }
                 assert produced == reference_configurations(num_users, receiver)
 
+    def test_ascending_perm_order_matches_sequence_construction(self):
+        # The construction that enumerate_orders replaced: decode sequences
+        # grouped by length, then sorted by perm, the order that
+        # brute_force_maxmin's tie-break reads.
+        budget = EnumerationBudget(K_limit=5)
+        for num_users in range(1, 6):
+            for receiver in range(1, num_users + 1):
+                others = [u for u in range(1, num_users + 1) if u != receiver]
+                reference = sorted(
+                    (
+                        DecodingOrder.from_decode_sequence(receiver, head + (receiver,), num_users)
+                        for decoded_before in range(num_users)
+                        for head in itertools.permutations(others, decoded_before)
+                    ),
+                    key=lambda o: o.perm,
+                )
+                assert enumerate_orders(num_users, receiver, budget) == reference
+
     def test_two_user_configurations(self):
         sequences = {decode_sequence(o) for o in enumerate_orders(2, 1)}
         assert sequences == {(1,), (2, 1)}
@@ -105,6 +125,11 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_orders(5, 1)
         assert len(enumerate_orders(5, 1, EnumerationBudget(K_limit=5))) == 65
+
+    @pytest.mark.parametrize("receiver", [0, 4])
+    def test_receiver_out_of_range(self, receiver):
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            enumerate_orders(3, receiver)
 
     def test_budget_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="K_limit must be positive"):
@@ -194,3 +219,28 @@ class TestCertify:
             assert report.counterexample is not None
             value, _ = min_rate(rate_vector(ranks, report.counterexample))
             assert value == report.oracle_min_rate
+
+
+class TestTolerance:
+    """``tol`` reaches every marginal clamp: the greedy's rates and the oracle's."""
+
+    @staticmethod
+    def near_monotone(drop):
+        row = {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0 - drop}
+        return RankFunctionSet(TabulatedRanks(2, (row, row)))
+
+    def test_drop_within_tol_clamps(self):
+        ranks = self.near_monotone(5e-9)
+        assert greedy_profile(ranks, tol=1e-8).rates == (0.0, 0.0)
+        assert brute_force_maxmin(ranks, tol=1e-8).opt_min_rate == 0.0
+        report = certify(ranks, tol=1e-8)
+        assert (report.passed, report.gap) == (True, 0.0)
+
+    def test_drop_beyond_tol_is_refused(self):
+        ranks = self.near_monotone(5e-9)
+        with pytest.raises(NonRankInputError, match="negative beyond tolerance 1e-09"):
+            greedy_profile(ranks, force=True)
+        with pytest.raises(NonRankInputError, match="negative beyond tolerance 1e-09"):
+            brute_force_maxmin(ranks)
+        with pytest.raises(NonRankInputError, match="negative beyond tolerance 1e-09"):
+            certify(ranks, force=True)
