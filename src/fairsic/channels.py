@@ -130,18 +130,10 @@ def _exact(kept: np.ndarray, mass: np.ndarray) -> list[float]:
     return list(map(math.fsum, (logs.reshape(kept.shape) * mass).tolist()))
 
 
-def _product_pmf(pmfs: Iterable[np.ndarray]) -> np.ndarray:
-    """Joint pmf of independent inputs, multiplied left to right from 1.0."""
-    import numpy as np
-    joint = np.float64(1.0)
-    for pmf in pmfs:
-        joint = np.multiply.outer(joint, pmf)
-    return np.asarray(joint)
-
-
 class _Backend:
-    """A receiver's rank function, computed only by the subclass's
-    ``_values(receiver, masks) -> list[float]`` on range-checked masks."""
+    """A receiver's rank function, computed only by the subclass's ``_values(receiver,
+    masks) -> list[float]`` on range-checked masks.  ``cheapest_drops`` alone picks a
+    slot's least drop and its ties, from the ``_contenders`` a subclass may prune."""
 
     def _rank(self, receiver: int, mask: int) -> float:
         return self._values(receiver, [mask])[0]
@@ -152,11 +144,15 @@ class _Backend:
         values = self._values(receiver, [mask ^ 1 << k for k in members])
         return {k + 1: value for k, value in zip(members, values)}
 
+    def _contenders(self, receiver: int, mask: int) -> dict[int, float]:
+        """``{user: drop_values' value}`` for every member of ``mask`` that can be least."""
+        return self.drop_values(receiver, mask)
+
     def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
         """``drop_values``' least value and its exact ties ascending."""
-        values = self.drop_values(receiver, mask)
-        best = min(values.values(), default=math.inf)
-        return best, [user for user, value in values.items() if value == best]
+        values = self._contenders(receiver, mask)
+        best = min(values.values()) if values else math.inf
+        return best, sorted([user for user, value in values.items() if value == best])
 
 
 @dataclass(frozen=True)
@@ -245,23 +241,21 @@ class GaussianChannel(_Backend):
         rows = self._scaled_rows  # the sort is stable
         return tuple(sorted(range(len(i)), key=i.__getitem__, reverse=True) for i, _, _ in rows)
 
-    def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
-        """``drop_values``' least value and its exact ties ascending: members are scored
-        by ``_values``' expression in descending-int order, and the scan stops at the
-        first value above the best.  Every IEEE step before the log2 is monotone;
+    def _contenders(self, receiver: int, mask: int) -> dict[int, float]:
+        """Members scored by ``_values``' expression in descending-int order, up to the
+        first value above the least.  Every IEEE step before the log2 is monotone;
         ``math.log2`` is assumed to be."""
         members = _drop_members(self.num_users, receiver, mask)
         ints, scale, noise = self._scaled_rows[receiver - 1]
         total = sum(map(ints.__getitem__, members))
-        best, tied = math.inf, []
+        values, least = {}, math.inf
         for k in self._drop_orders[receiver - 1]:
             if mask >> k & 1:
                 value = math.log2(1.0 + (total - ints[k]) / scale / noise)
-                if value > best:
+                if value > least:
                     break
-                best = value  # scanned values never fall: this one ties or is first
-                tied.append(k + 1)
-        return best, sorted(tied)
+                values[k + 1] = least = value  # scanned values never fall
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,8 +323,8 @@ class DmcChannel(_Backend):
     def _values(self, receiver: int, masks: list[int]) -> list[float]:
         return [v for _, kept, mass in self._ratios(receiver, masks) for v in _exact(kept, mass)]
 
-    def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
-        """``drop_values``' least value and its exact ties ascending.
+    def _contenders(self, receiver: int, mask: int) -> dict[int, float]:
+        """The members that can be least, with their ``drop_values`` values.
 
         A candidate's n terms ``np.log2(r) * w`` get a numpy sum A and a bound err =
         2 (n + 16) (eps S + 2^-1074), S = sum|terms|.  Granting ``math.log2`` and
@@ -342,7 +336,7 @@ class DmcChannel(_Backend):
         they, and any with a non-finite bound, are scored by ``_exact`` on their rows."""
         import numpy as np
         members = list(_drop_members(self.num_users, receiver, mask))
-        best, tied = math.inf, []
+        values = {}
         for start, kept, mass in self._ratios(receiver, [mask ^ 1 << k for k in members]):
             with np.errstate(all="ignore"):
                 terms = np.log2(kept) * mass  # |term| <= 1075: a finite sum cannot overflow
@@ -351,11 +345,8 @@ class DmcChannel(_Backend):
                 # A non-finite term makes err inf or NaN: A - err passes, fmin skips NaN.
                 rows = np.flatnonzero(~(approx - err > np.fmin.reduce(approx + err)))
             for row, value in zip(rows.tolist(), _exact(kept[rows], mass)):
-                if value < best:
-                    best, tied = value, []
-                if value == best:
-                    tied.append(members[start + row] + 1)
-        return best, tied
+                values[members[start + row] + 1] = value
+        return values
 
     def _ratios(self, receiver: int, masks: list[int]) -> Iterator[tuple]:
         """The one DMC evaluation path: per buffer of at most ``DEFAULT_DMC_TERM_CAP`` terms,
@@ -393,11 +384,15 @@ class DmcChannel(_Backend):
         """Axes putting S first, S's tuple count, the kept shape and p(x_outside)."""
         terms = self._subset_cache.get(mask)
         if terms is None:
+            import numpy as np
             sizes = self.input_alphabet_sizes
             inside = [k for k in range(len(sizes)) if mask >> k & 1]
             outside = [k for k in range(len(sizes)) if not mask >> k & 1]
             kept = tuple(1 if mask >> k & 1 else size for k, size in enumerate(sizes))
-            comp_mass = _product_pmf(self.input_pmfs[k] for k in outside).reshape(kept + (1,))
+            comp_mass = np.float64(1.0)  # independent inputs, multiplied left to right
+            for k in outside:
+                comp_mass = np.multiply.outer(comp_mass, self.input_pmfs[k])
+            comp_mass = comp_mass.reshape(kept + (1,))
             axes = (*inside, *outside, len(sizes))
             terms = (axes, math.prod(sizes[k] for k in inside), kept + (-1,), comp_mass)
             self._subset_cache[mask] = terms
@@ -460,6 +455,9 @@ class TabulatedRanks(_Backend):
                 values[mask] = value
             owned.append(values)
         object.__setattr__(self, "tables", tuple(owned))
+
+    def __hash__(self) -> int:  # values in the mask order the constructor fixed
+        return hash((self.num_users, *(tuple(table.values()) for table in self.tables)))
 
     def _values(self, receiver: int, masks: Iterable[int]) -> list[float]:
         return list(map(self.tables[receiver - 1].__getitem__, masks))

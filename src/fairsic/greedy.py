@@ -3,12 +3,12 @@
 Each receiver is solved independently: starting from the full user set,
 repeatedly hand the next decode slot to the user whose removal leaves the
 cheapest remaining set under the receiver's rank function, and stop once
-the receiver's own user is selected.  A slot's least value and exact ties
-come from one ``cheapest_drops`` call: those of ``drop_values``, the floats
-``rank_value`` gives, though each backend scores exactly only the
-candidates that can reach the least.  Argmin ties are broken by exact
-float equality: prefer users other than the receiver's own (so ties are
-decoded rather than skipped), then the smallest index.
+the receiver's own user is selected.  For every backend a slot's least
+value and exact ties come from ``_Backend.cheapest_drops``, over the floats
+``rank_value`` gives that the backend's ``_contenders`` names: Gaussian and
+DMC score only the candidates that can reach the least.  Argmin ties are
+broken by exact float equality: prefer users other than the receiver's own
+(so ties are decoded rather than skipped), then the smallest index.
 """
 
 from __future__ import annotations

@@ -136,6 +136,18 @@ class TestGaussianValidation:
         assert twin == channel and hash(twin) == hash(channel)
         assert twin != GaussianChannel([[1.0, 2.0], [0.1, 1.0]], [1.0, 1.0], [1.0, 2.0])
 
+    def test_tabulated_tables_compare_and_hash_by_value(self):
+        values = (0.0, 1.0, 1.0, 1.5)
+        channel = TabulatedRanks(2, (dict(enumerate(values)),) * 2)
+        reordered = dict(reversed(list(enumerate(values))))
+        signed = dict(enumerate((-0.0, *values[1:])))
+        for tables in ((reordered, reordered), (signed, reordered)):
+            twin = TabulatedRanks(2, tables)
+            assert twin == channel and hash(twin) == hash(channel)
+            assert hash(RankFunctionSet(twin)) == hash(RankFunctionSet(channel))
+        assert len({channel, twin}) == 1
+        assert twin != TabulatedRanks(2, (dict(enumerate((0.0, 1.0, 1.0, 2.0))), reordered))
+
 
 HALF_ROWS = [[0.5, 0.5]] * 4
 # name -> per constructor: (arguments with the non-number, the refusal message)

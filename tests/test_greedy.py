@@ -525,7 +525,9 @@ def tied_tabulated_ranks(draw):
 
 def assert_cheapest_is_least_drop(channel) -> None:
     """``cheapest_drops`` is ``drop_values``' minimum, hex-equal, and every user
-    whose value equals it exactly, ascending, on every receiver and mask."""
+    whose value equals it exactly, ascending, on every receiver and mask.  The
+    backend's pruning holds: each ``_contenders`` value is hex-equal to
+    ``drop_values``' for that user, and every tied least user is a contender."""
     for receiver in range(1, channel.num_users + 1):
         for mask in range(1, 1 << channel.num_users):
             values = channel.drop_values(receiver, mask)
@@ -533,6 +535,10 @@ def assert_cheapest_is_least_drop(channel) -> None:
             ties = [user for user, value in values.items() if value == least]
             best, tied = channel.cheapest_drops(receiver, mask)
             assert (best.hex(), tied) == (least.hex(), ties)
+            contenders = channel._contenders(receiver, mask)
+            assert set(ties) <= contenders.keys() <= values.keys()
+            for user, value in contenders.items():
+                assert value.hex() == values[user].hex()
 
 
 class TestCheapestDrops:
