@@ -63,13 +63,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return all(r.passed(self.tol) for r in self.receivers)
 
-    @property
-    def worst_violation(self) -> float:
-        return max(
-            max(r.normalization_violation, r.monotonicity_violation, r.submodularity_violation)
-            for r in self.receivers
-        )
-
 
 def subset_value_table(ranks: RankFunctionSet, receiver: int) -> np.ndarray:
     """All 2^K rank values of one receiver, indexed by subset bitmask.

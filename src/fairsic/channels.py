@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice
+from types import MappingProxyType
 from typing import Any, ClassVar, Iterable, Iterator, Mapping, Union
 
 from .errors import CapacityError, IncompleteTableError, ValidationError
@@ -415,9 +416,9 @@ class TabulatedRanks(_Backend):
 
     Construction requires a complete table (all 2^K subsets per receiver)
     of finite, nonnegative real numbers, bools refused, and keeps its own
-    copy, read by mask through ``_values``: no reader relies on the order
-    of its dicts.  Rank-axiom compliance is *not* checked here, so violating
-    tables can be built on purpose and fed to the axiom validator.
+    read-only copy, read by mask through ``_values``: no reader relies on
+    the order of its dicts.  Rank-axiom compliance is *not* checked here, so
+    violating tables can be built on purpose and fed to the axiom validator.
     """
 
     kind: ClassVar[str] = "tabulated"
@@ -439,7 +440,8 @@ class TabulatedRanks(_Backend):
                     f"receiver {j} table must cover all {expected} subsets; "
                     f"missing masks {missing[:4]}{'...' if len(missing) > 4 else ''}"
                 )
-            # A copy: later writes to the caller's dict change no rank value.
+            # A copy behind a proxy: no write, to the caller's dict or through
+            # ``tables``, changes a rank value or the hash.
             values = {}
             for mask in range(expected):
                 value = table[mask]
@@ -453,14 +455,18 @@ class TabulatedRanks(_Backend):
                         f"must be finite and nonnegative, got {value!r}"
                     )
                 values[mask] = value
-            owned.append(values)
+            owned.append(MappingProxyType(values))
         object.__setattr__(self, "tables", tuple(owned))
+
+    def __reduce__(self):  # a mapping proxy cannot be pickled or deep-copied
+        return TabulatedRanks, (self.num_users, tuple(map(dict, self.tables)))
 
     def __hash__(self) -> int:  # values in the mask order the constructor fixed
         return hash((self.num_users, *(tuple(table.values()) for table in self.tables)))
 
     def _values(self, receiver: int, masks: Iterable[int]) -> list[float]:
-        return list(map(self.tables[receiver - 1].__getitem__, masks))
+        table = self.tables[receiver - 1]  # subscripting a proxy beats its bound method
+        return [table[mask] for mask in masks]
 
 
 Channel = Union[GaussianChannel, DmcChannel, TabulatedRanks]

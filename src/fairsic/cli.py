@@ -23,7 +23,7 @@ from .errors import CapacityError, NonRankInputError, ScenarioParseError, Valida
 from .generate import GENERATOR_KINDS, generate_channel
 from .greedy import greedy_profile
 from .oracle import EnumerationBudget, certify
-from .ordering import DecodingProfile, decode_sequence, render_order
+from .ordering import DecodingProfile, decode_sequence, decoded_set, render_order
 from .rates import min_rate, rate_vector
 from .scenario import load_scenario, save_scenario, write_scenario
 
@@ -115,12 +115,18 @@ Report = tuple[int, dict, list[str]]
 def cmd_solve(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
     report = greedy_profile(ranks, tol=args.tol, force=args.force)
     fields, rate_lines = _rate_block(report.rates, report.min_rate, report.bottleneck_users)
+    decoded = [decoded_set(order) for order in report.profile.orders]
+    # Receivers that decode each user, ascending: one transposition of the decoded sets.
+    decoders = [
+        [j for j, users in enumerate(decoded, start=1) if k in users]
+        for k in range(1, ranks.num_users + 1)
+    ]
     return (
         EXIT_OK,
         {
             "profile": _profile_sequences(report.profile),
-            "decoded_sets": [sorted(s) for s in report.decoded_sets],
-            "decoder_sets": [sorted(s) for s in report.decoder_sets],
+            "decoded_sets": [sorted(users) for users in decoded],
+            "decoder_sets": decoders,
             **fields,
         },
         [
@@ -129,12 +135,12 @@ def cmd_solve(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
             "decoded users per receiver:",
             *(
                 f"  receiver {j} decodes {_fmt_set(users)}"
-                for j, users in enumerate(report.decoded_sets, start=1)
+                for j, users in enumerate(decoded, start=1)
             ),
             "decoding receivers per user:",
             *(
                 f"  user {k} decoded at {_fmt_set(receivers)}"
-                for k, receivers in enumerate(report.decoder_sets, start=1)
+                for k, receivers in enumerate(decoders, start=1)
             ),
             *rate_lines,
         ],
@@ -154,22 +160,23 @@ def cmd_rates(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
 
 def cmd_certify(args: argparse.Namespace, ranks: RankFunctionSet) -> Report:
     report = certify(ranks, EnumerationBudget(), tol=args.tol, force=args.force)
-    example = report.counterexample
+    greedy, oracle = report.greedy, report.oracle
+    example = None if report.passed else oracle.best_profile
     fields = {
-        "greedy_min_rate": report.greedy_min_rate,
-        "oracle_min_rate": report.oracle_min_rate,
+        "greedy_min_rate": greedy.min_rate,
+        "oracle_min_rate": oracle.opt_min_rate,
         "gap": report.gap,
-        "num_configs": report.num_configs,
+        "num_configs": oracle.num_configs,
         "passed": report.passed,
-        "greedy_profile": _profile_sequences(report.greedy.profile),
-        "oracle_profile": _profile_sequences(report.oracle_best_profile),
+        "greedy_profile": _profile_sequences(greedy.profile),
+        "oracle_profile": _profile_sequences(oracle.best_profile),
         "counterexample": None if example is None else _profile_sequences(example),
     }
     lines = [
         f"users: {ranks.num_users}",
-        f"profiles enumerated: {report.num_configs}",
-        f"greedy min rate: {report.greedy_min_rate!r}",
-        f"oracle min rate: {report.oracle_min_rate!r}",
+        f"profiles enumerated: {oracle.num_configs}",
+        f"greedy min rate: {greedy.min_rate!r}",
+        f"oracle min rate: {oracle.opt_min_rate!r}",
         f"gap: {report.gap!r}",
         *([] if example is None else _order_lines("counterexample profile:", example)),
         f"certification: {'PASS' if report.passed else 'FAIL'}",

@@ -27,7 +27,7 @@ from .channels import (
     store_rank_value,
 )
 from .errors import NonRankInputError
-from .ordering import DecodingOrder, DecodingProfile, decoded_set
+from .ordering import DecodingOrder, DecodingProfile
 from .rates import min_rate, rate_vector
 
 
@@ -37,9 +37,6 @@ class SolveReport:
     rates: tuple[float, ...]
     min_rate: float
     bottleneck_users: frozenset[int]
-    decoded_sets: tuple[frozenset[int], ...]
-    decoder_sets: tuple[frozenset[int], ...]
-    backend_kind: str
 
 
 def ensure_rank_input(
@@ -104,20 +101,7 @@ def greedy_profile(
         tuple(greedy_order(ranks, j, force=True) for j in range(1, ranks.num_users + 1))
     )
     rates = rate_vector(ranks, profile, clamp_tol=tol)
-    value, bottleneck = min_rate(rates)
-    decoded = tuple(map(decoded_set, profile.orders))
-    return SolveReport(
-        profile=profile,
-        rates=rates,
-        min_rate=value,
-        bottleneck_users=bottleneck,
-        decoded_sets=decoded,
-        decoder_sets=tuple(
-            frozenset(j for j, users in enumerate(decoded, start=1) if k in users)
-            for k in range(1, ranks.num_users + 1)
-        ),
-        backend_kind=ranks.kind,
-    )
+    return SolveReport(profile, rates, *min_rate(rates))
 
 
 def gaussian_fast_order(channel: GaussianChannel, receiver: int) -> DecodingOrder:

@@ -54,16 +54,9 @@ class BruteForceResult:
 @dataclass(frozen=True)
 class CertificationReport:
     greedy: SolveReport
-    oracle_min_rate: float
-    oracle_best_profile: DecodingProfile
+    oracle: BruteForceResult
     gap: float
     passed: bool
-    num_configs: int
-    counterexample: DecodingProfile | None
-
-    @property
-    def greedy_min_rate(self) -> float:
-        return self.greedy.min_rate
 
 
 def count_orders(num_users: int) -> int:
@@ -146,13 +139,4 @@ def certify(
     greedy = greedy_profile(ranks, tol=tol, force=True)
     oracle = brute_force_maxmin(ranks, budget, tol=tol)
     gap = abs(oracle.opt_min_rate - greedy.min_rate)
-    passed = gap <= tol
-    return CertificationReport(
-        greedy=greedy,
-        oracle_min_rate=oracle.opt_min_rate,
-        oracle_best_profile=oracle.best_profile,
-        gap=gap,
-        passed=passed,
-        num_configs=oracle.num_configs,
-        counterexample=None if passed else oracle.best_profile,
-    )
+    return CertificationReport(greedy, oracle, gap, gap <= tol)

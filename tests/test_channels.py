@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -147,6 +149,21 @@ class TestGaussianValidation:
             assert hash(RankFunctionSet(twin)) == hash(RankFunctionSet(channel))
         assert len({channel, twin}) == 1
         assert twin != TabulatedRanks(2, (dict(enumerate((0.0, 1.0, 1.0, 2.0))), reordered))
+
+    def test_tabulated_tables_are_read_only(self):
+        channel = TabulatedRanks(1, ({0: 0.0, 1: 1.0},))
+        before = hash(channel)
+        members = {channel}
+        with pytest.raises(TypeError):
+            channel.tables[0][1] = 2.0
+        assert channel._values(1, [1]) == [1.0]
+        assert hash(channel) == before and channel in members
+        for twin in (pickle.loads(pickle.dumps(channel)), copy.deepcopy(channel)):
+            assert twin == channel and hash(twin) == hash(channel)
+        # Readers may still take a plain copy of a table.
+        table = dict(channel.tables[0])
+        table[1] = 2.0
+        assert channel.tables[0][1] == 1.0
 
 
 HALF_ROWS = [[0.5, 0.5]] * 4

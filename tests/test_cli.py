@@ -7,7 +7,16 @@ import pytest
 import fairsic.channels
 import fairsic.generate
 import fairsic.oracle
-from fairsic import TabulatedRanks, ValidationError, generate_channel, load_scenario, save_scenario
+from fairsic import (
+    DecodingProfile,
+    TabulatedRanks,
+    ValidationError,
+    decoded_set,
+    decoder_set,
+    generate_channel,
+    load_scenario,
+    save_scenario,
+)
 from fairsic.channels import DEFAULT_AXIOM_TOL
 from fairsic.cli import main
 
@@ -58,6 +67,21 @@ class TestSolve:
         assert doc["decoder_sets"] == [[1], [1, 2]]
         assert doc["min_rate"] == pytest.approx(LOG2_21_11, abs=1e-12)
         assert doc["bottleneck_users"] == [2]
+
+    @pytest.mark.parametrize(
+        "kind, num_users", [("gaussian", 12), ("dmc", 5), ("tabulated-submodular", 6)]
+    )
+    def test_set_views_are_decoded_set_and_decoder_set(self, capsys, tmp_path, kind, num_users):
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_channel(kind, num_users, 4), path)
+        code, out, _ = run(capsys, "solve", "--scenario", str(path), "--format", "structured")
+        assert code == 0
+        doc = json.loads(out)
+        profile = DecodingProfile.from_decode_sequences(doc["profile"])
+        assert doc["decoded_sets"] == [sorted(decoded_set(order)) for order in profile.orders]
+        assert doc["decoder_sets"] == [
+            sorted(decoder_set(profile, user)) for user in range(1, num_users + 1)
+        ]
 
     def test_single_user(self, capsys):
         code, out, _ = run(capsys, "solve", "--scenario", SINGLE, "--format", "structured")

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsic import (
     CapacityError,
@@ -12,6 +14,7 @@ from fairsic import (
     NonRankInputError,
     RankFunctionSet,
     TabulatedRanks,
+    ValidationError,
     brute_force_maxmin,
     certify,
     count_orders,
@@ -190,8 +193,7 @@ class TestCertify:
         report = certify(two_user_ranks)
         assert report.passed
         assert report.gap == 0.0
-        assert report.counterexample is None
-        assert report.greedy_min_rate == report.oracle_min_rate
+        assert report.greedy.min_rate == report.oracle.opt_min_rate
 
     def test_passes_on_single_user(self, single_user_ranks):
         report = certify(single_user_ranks)
@@ -212,13 +214,35 @@ class TestCertify:
         )
         report = certify(ranks, force=True)
         greedy = greedy_profile(ranks, force=True)
-        assert report.oracle_min_rate >= greedy.min_rate
-        if report.passed:
-            assert report.counterexample is None
-        else:
-            assert report.counterexample is not None
-            value, _ = min_rate(rate_vector(ranks, report.counterexample))
-            assert value == report.oracle_min_rate
+        assert report.oracle.opt_min_rate >= greedy.min_rate
+        assert report.greedy == greedy
+        # The CLI prints the oracle's best profile as the counterexample on failure.
+        value, _ = min_rate(rate_vector(ranks, report.oracle.best_profile))
+        assert value == report.oracle.opt_min_rate
+
+    # Zero, signed-zero, subnormal and near-overflow gains and powers, over noise
+    # from the smallest subnormal up.
+    EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_extreme_gaussian_inputs_are_certified_or_refused(self, data):
+        num_users = data.draw(st.integers(1, 4))
+        extreme = st.lists(st.sampled_from(self.EXTREMES), min_size=num_users, max_size=num_users)
+        gains = data.draw(st.lists(extreme, min_size=num_users, max_size=num_users))
+        powers = data.draw(extreme)
+        noise = data.draw(
+            st.lists(
+                st.sampled_from((5e-324, 1e-300, 1.0, 2.0)), min_size=num_users, max_size=num_users
+            )
+        )
+        try:
+            channel = GaussianChannel(gains, powers, noise)
+        except ValidationError:
+            return
+        report = certify(RankFunctionSet.for_channel(channel))
+        assert report.passed
+        assert all(rate >= 0 for rate in report.greedy.rates)
 
 
 class TestTolerance:
