@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice
 from types import MappingProxyType
-from typing import Any, ClassVar, Iterable, Iterator, Mapping, Union
+from typing import Any, ClassVar, Generator, Iterable, Iterator, Mapping, Union
 
 from .errors import CapacityError, IncompleteTableError, ValidationError
 
@@ -133,8 +133,8 @@ def _exact(kept: np.ndarray, mass: np.ndarray) -> list[float]:
 
 class _Backend:
     """A receiver's rank function, computed only by the subclass's ``_values(receiver,
-    masks) -> list[float]`` on range-checked masks.  ``cheapest_drops`` alone picks a
-    slot's least drop and its ties, from the ``_contenders`` a subclass may prune."""
+    masks) -> list[float]`` on range-checked masks.  ``_least`` alone picks a slot's least
+    drop and ties, for ``cheapest_drops`` and ``_walk``, from the ``_contenders`` it may prune."""
 
     def _rank(self, receiver: int, mask: int) -> float:
         return self._values(receiver, [mask])[0]
@@ -151,9 +151,20 @@ class _Backend:
 
     def cheapest_drops(self, receiver: int, mask: int) -> tuple[float, list[int]]:
         """``drop_values``' least value and its exact ties ascending."""
-        values = self._contenders(receiver, mask)
-        best = min(values.values()) if values else math.inf
-        return best, sorted([user for user, value in values.items() if value == best])
+        return _least(self._contenders(receiver, mask))
+
+    def _walk(self, receiver: int) -> Generator[tuple[float, list[int]], int, None]:
+        """Each greedy slot's ``cheapest_drops`` over the users left; is sent the one removed."""
+        mask = (1 << self.num_users) - 1
+        while True:
+            chosen = yield self.cheapest_drops(receiver, mask)
+            mask ^= 1 << (chosen - 1)
+
+
+def _least(values: dict[int, float]) -> tuple[float, list[int]]:
+    """The one slot rule: the least of ``{user: value}`` and its exact ties ascending."""
+    best = min(values.values()) if values else math.inf
+    return best, sorted([user for user, value in values.items() if value == best])
 
 
 @dataclass(frozen=True)
@@ -247,16 +258,32 @@ class GaussianChannel(_Backend):
         first value above the least.  Every IEEE step before the log2 is monotone;
         ``math.log2`` is assumed to be."""
         members = _drop_members(self.num_users, receiver, mask)
+        total = sum(map(self._scaled_rows[receiver - 1][0].__getitem__, members))
+        return self._scan(receiver, mask, total, 0)
+
+    def _scan(self, receiver: int, mask: int, total: int, start: int) -> dict[int, float]:
+        """``_contenders`` from ``_drop_orders`` index ``start``, before which no member sits."""
         ints, scale, noise = self._scaled_rows[receiver - 1]
-        total = sum(map(ints.__getitem__, members))
         values, least = {}, math.inf
-        for k in self._drop_orders[receiver - 1]:
+        for k in islice(self._drop_orders[receiver - 1], start, None):
             if mask >> k & 1:
                 value = math.log2(1.0 + (total - ints[k]) / scale / noise)
                 if value > least:
                     break
                 values[k + 1] = least = value  # scanned values never fall
         return values
+
+    def _walk(self, receiver: int) -> Generator[tuple[float, list[int]], int, None]:
+        """``_Backend._walk`` on a running int total (exact) and the first member's index."""
+        check_receiver(self.num_users, receiver)
+        ints, order = self._scaled_rows[receiver - 1][0], self._drop_orders[receiver - 1]
+        mask, total, start = (1 << self.num_users) - 1, sum(ints), 0
+        while True:
+            chosen = (yield _least(self._scan(receiver, mask, total, start))) - 1
+            mask ^= 1 << chosen
+            total -= ints[chosen]
+            while start < len(order) and not mask >> order[start] & 1:
+                start += 1
 
 
 @dataclass(frozen=True, eq=False)

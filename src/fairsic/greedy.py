@@ -3,17 +3,19 @@
 Each receiver is solved independently: starting from the full user set,
 repeatedly hand the next decode slot to the user whose removal leaves the
 cheapest remaining set under the receiver's rank function, and stop once
-the receiver's own user is selected.  For every backend a slot's least
-value and exact ties come from ``_Backend.cheapest_drops``, over the floats
-``rank_value`` gives that the backend's ``_contenders`` names: Gaussian and
-DMC score only the candidates that can reach the least.  Argmin ties are
-broken by exact float equality: prefer users other than the receiver's own
-(so ties are decoded rather than skipped), then the smallest index.
+the receiver's own user is selected.  A slot's least value and exact ties
+come from the receiver's walk, ``_Backend._walk``, which yields
+``cheapest_drops`` over the floats ``rank_value`` gives that the backend's
+``_contenders`` names (Gaussian and DMC score only the candidates that can
+reach the least); the Gaussian walk keeps a running exact int total.  Argmin
+ties are broken by exact float equality: prefer users other than the
+receiver's own (so ties are decoded rather than skipped), then the smallest index.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 from .axioms import validate_rank_axioms
@@ -73,20 +75,19 @@ def greedy_order(
     remaining = set(range(1, ranks.num_users + 1))
     mask = (1 << ranks.num_users) - 1
     sequence: list[int] = []  # first decoded first
-    while True:
-        best, tied = ranks.backend.cheapest_drops(receiver, mask)
-        # Ascending users: the first tied one that is not the receiver's own.
-        chosen = next((c for c in tied if c != receiver), receiver)
-        sequence.append(chosen)
-        remaining.discard(chosen)
-        mask ^= 1 << (chosen - 1)
-        # The prefix rate_vector reads next is scored: store it, then hit it.
-        store_rank_value(ranks, receiver, mask, best)
-        rank_value(ranks, receiver, remaining)
-        if chosen == receiver:
-            return DecodingOrder.from_decode_sequence(
-                receiver, sequence, ranks.num_users
-            )
+    chosen = None
+    with closing(ranks.backend._walk(receiver)) as walk:
+        while chosen != receiver:
+            best, tied = walk.send(chosen)  # None starts the walk
+            # Ascending users: the first tied one that is not the receiver's own.
+            chosen = next((c for c in tied if c != receiver), receiver)
+            sequence.append(chosen)
+            remaining.discard(chosen)
+            mask ^= 1 << (chosen - 1)
+            # The prefix rate_vector reads next is scored: store it, then hit it.
+            store_rank_value(ranks, receiver, mask, best)
+            rank_value(ranks, receiver, remaining)
+    return DecodingOrder.from_decode_sequence(receiver, sequence, ranks.num_users)
 
 
 def greedy_profile(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .channels import DEFAULT_AXIOM_TOL, DEFAULT_EQ_TOL, RankFunctionSet, rank_value
-from .errors import NonRankInputError
+from .errors import NonRankInputError, ValidationError
 from .ordering import DecodingOrder, DecodingProfile
 
 
@@ -38,6 +38,8 @@ def receiver_rate_bounds(
     prefix through the user minus the rank value of the prefix before it.
     Sub-tolerance negative differences clamp to zero.
     """
+    if order.num_users != ranks.num_users:
+        raise ValidationError(f"order covers {order.num_users} users, ranks {ranks.num_users}")
     previous = rank_value(ranks, order.receiver, order.perm[: order.decoded_from - 1])
     bounds: dict[int, float] = {}
     for position in range(order.decoded_from, order.num_users + 1):

@@ -1,5 +1,8 @@
+import gc
 import math
 import sys
+import types
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -633,3 +636,109 @@ class TestNearTies:
         # absolute steps: 0.5 x 5e-324 is 0 and one ulp more is 5e-324.
         bound = DEFAULT_AXIOM_TOL + 2 * largest_rank_move(channel, moved)
         assert abs(after - before) <= bound
+
+
+def assert_walk_is_cheapest_drops(channel, removals=None) -> None:
+    """Each receiver's ``_walk``, sent the greedy's own choices (or the users of
+    ``removals``, in that order, down to the empty set), yields what
+    ``cheapest_drops`` gives on the users left: the least value hex-equal, the
+    ties the same and ascending."""
+    ranks = RankFunctionSet.for_channel(channel)
+    for receiver in range(1, channel.num_users + 1):
+        sequence = removals or decode_sequence(greedy_order(ranks, receiver, force=True))
+        walk, mask = channel._walk(receiver), (1 << channel.num_users) - 1
+        best, tied = next(walk)
+        for step, chosen in enumerate(sequence, start=1):
+            least, ties = channel.cheapest_drops(receiver, mask)
+            assert (best.hex(), tied) == (least.hex(), ties)
+            if removals is None:  # the greedy's rule picks ``chosen`` from these ties
+                assert chosen == next((c for c in tied if c != receiver), receiver)
+            mask ^= 1 << (chosen - 1)
+            if step < len(sequence) or removals:
+                best, tied = walk.send(chosen)
+        if removals:
+            assert (best, tied) == (math.inf, []) == channel.cheapest_drops(receiver, 0)
+        walk.close()
+
+
+class TestGreedyWalk:
+    @pytest.mark.parametrize("num_users", [1, 2, 8, 24])
+    def test_generated_gaussian(self, num_users):
+        for seed in range(3):
+            assert_walk_is_cheapest_drops(generate_channel("gaussian", num_users, seed))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tie_heavy_gaussian_channels(max_users=6), st.data())
+    def test_one_ulp_near_ties(self, channel, data):
+        """``TestNearTies``' channels, before and after their one-ulp gain move."""
+        assert_walk_is_cheapest_drops(channel)
+        num_users = channel.num_users
+        row, column = (data.draw(st.integers(0, num_users - 1)) for _ in range(2))
+        gains = [list(gain_row) for gain_row in channel.gains]
+        direction = data.draw(st.sampled_from([-1.0, math.inf]))
+        gains[row][column] = math.nextafter(gains[row][column], direction)
+        try:
+            moved = GaussianChannel(gains, channel.powers, channel.noise_vars)
+        except ValidationError:
+            assume(False)
+        assert_walk_is_cheapest_drops(moved)
+
+    @pytest.mark.parametrize("num_users", range(1, 6))
+    def test_generated_dmc(self, num_users):
+        for seed in range(2):
+            assert_walk_is_cheapest_drops(generate_channel("dmc", num_users, seed))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(small_dmc_channels(), symmetric_dmc_channels()))
+    def test_drawn_dmc(self, channel):
+        assert_walk_is_cheapest_drops(channel)
+
+    @pytest.mark.parametrize("num_users", range(1, 7))
+    def test_generated_tabulated_submodular(self, num_users):
+        for seed in range(2):
+            channel = generate_channel("tabulated-submodular", num_users, seed)
+            assert_walk_is_cheapest_drops(channel)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(tie_heavy_gaussian_channels(max_users=6), tied_tabulated_ranks()), st.data())
+    def test_any_removal_order_to_the_empty_set(self, channel, data):
+        """Removals the greedy would not make, so the Gaussian start index meets
+        removed users behind members, and the walk's last slot has no member."""
+        users = list(range(1, channel.num_users + 1))
+        assert_walk_is_cheapest_drops(channel, data.draw(st.permutations(users)))
+
+    def test_out_of_range_receiver_raises_index_error(self, two_user_channel, xor_dmc_channel):
+        tabulated = tabulated_from_values([(0.0, 0.5, 0.7, 1.0), (0.0, 0.1, 0.2, 0.3)])
+        for channel in (two_user_channel, xor_dmc_channel, tabulated):
+            for receiver in (0, 3):
+                with pytest.raises(IndexError):
+                    next(channel._walk(receiver))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dmc", "tabulated-submodular"])
+    def test_profile_keeps_no_walk(self, kind):
+        """A walk lives in its generator only: ``greedy_profile`` adds no attribute to
+        the backend beyond its ``cached_property`` values, caches only int-keyed
+        values, and leaves no walk running."""
+        channel = generate_channel(kind, 6, 2)
+        cached = {
+            name
+            for cls in type(channel).__mro__
+            for name, value in vars(cls).items()
+            if isinstance(value, cached_property)
+        }
+        before = set(vars(channel))
+        ranks = RankFunctionSet.for_channel(channel)
+        greedy_profile(ranks, force=True)
+        assert set(vars(channel)) - before <= cached
+        for value in vars(channel).values():
+            assert not isinstance(value, types.GeneratorType)
+            if isinstance(value, dict):  # the DMC caches: receivers and masks
+                assert {type(key) for key in value} <= {int}
+        assert {tuple(map(type, key)) for key in ranks._cache} == {(int, int)}
+        assert {type(value) for value in ranks._cache.values()} == {float}
+        running = [
+            g
+            for g in gc.get_objects()
+            if isinstance(g, types.GeneratorType) and g.gi_code.co_name == "_walk" and g.gi_frame
+        ]
+        assert running == []

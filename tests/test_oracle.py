@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fairsic import (
     CapacityError,
     DecodingOrder,
+    DmcChannel,
     DecodingProfile,
     EnumerationBudget,
     GaussianChannel,
@@ -29,6 +30,8 @@ from fairsic import (
     rng_from_seed,
     validate_rank_axioms,
 )
+
+from fairsic.channels import DEFAULT_AXIOM_TOL
 
 from conftest import LOG2_21_11, tabulated_from_values
 
@@ -242,6 +245,33 @@ class TestCertify:
             return
         report = certify(RankFunctionSet.for_channel(channel))
         assert report.passed
+        assert all(rate >= 0 for rate in report.greedy.rates)
+
+    # Masses of input and output symbols: zero in two of five entries, one subnormal-scale.
+    MASSES = (0.0, 0.0, 1e-300, 0.25, 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_zero_mass_dmc_inputs_are_certified_or_refused(self, data):
+        num_users = data.draw(st.integers(1, 3))
+        sizes = st.lists(st.integers(1, 3), min_size=num_users, max_size=num_users)
+        in_sizes, out_sizes = data.draw(sizes), data.draw(sizes)
+
+        def pmf(size):
+            masses = st.lists(st.sampled_from(self.MASSES), min_size=size, max_size=size)
+            weights = data.draw(masses)
+            weights = np.array(weights if any(weights) else [1.0] + weights[1:])
+            return weights / weights.sum()
+
+        joint = int(np.prod(in_sizes))
+        pmfs = [pmf(size) for size in in_sizes]
+        tables = [np.array([pmf(size) for _ in range(joint)]) for size in out_sizes]
+        try:
+            channel = DmcChannel(pmfs, tables)
+        except ValidationError:
+            return
+        report = certify(RankFunctionSet.for_channel(channel))
+        assert report.passed and report.gap <= DEFAULT_AXIOM_TOL
         assert all(rate >= 0 for rate in report.greedy.rates)
 
 

@@ -7,7 +7,9 @@ from fairsic import (
     DecodingProfile,
     NonRankInputError,
     RankFunctionSet,
+    ValidationError,
     decoded_set,
+    generate_channel,
     greedy_profile,
     min_rate,
     random_gaussian_channel,
@@ -50,6 +52,20 @@ class TestFixtureRates:
         ):
             assert type(rates) is tuple
             assert all(type(rate) is float for rate in rates)
+
+
+class TestProfileSize:
+    """A profile of another K is refused by name, not cut short or failed by index."""
+
+    @pytest.mark.parametrize("sequences", [[[1], [2]], [[1], [2], [3], [4]]])
+    def test_wrong_size_profile_is_refused(self, sequences):
+        ranks = RankFunctionSet.for_channel(generate_channel("gaussian", 3, 1))
+        profile = DecodingProfile.from_decode_sequences(sequences)
+        message = f"order covers {len(sequences)} users, ranks 3"
+        with pytest.raises(ValidationError, match=message):
+            rate_vector(ranks, profile)
+        with pytest.raises(ValidationError, match=message):
+            receiver_rate_bounds(ranks, profile.orders[0])
 
 
 class TestMinRate:
