@@ -24,7 +24,7 @@ from itertools import chain, compress, islice
 from types import MappingProxyType
 from typing import Any, Generator, Iterable, Iterator, Mapping, Union
 
-from .errors import CapacityError, FrozenValue, IncompleteTableError, ValidationError
+from .errors import CapacityError, FrozenValue, IncompleteTableError, ValidationError, brief
 
 PMF_TOL = 1e-12
 DEFAULT_AXIOM_TOL = 1e-9
@@ -78,14 +78,14 @@ def _numbers(value: Any, label: str, depth: int = 1) -> Any:
     """
     if not depth:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{label} must be a real number, got {value!r}")
+            raise ValidationError(f"{label} must be a real number, got {brief(value)}")
         try:
             return float(value)
         except OverflowError:
             raise ValidationError(f"{label} is too large for a float") from None
     if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
         kind = "rows of numbers" if depth > 1 else "numbers"
-        raise ValidationError(f"{label} must be a list of {kind}, got {value!r}")
+        raise ValidationError(f"{label} must be a list of {kind}, got {brief(value)}")
     values = tuple(value)
     if depth > 1:
         # Parsed JSON, lists of floats only, needs no conversion: checked at C speed.
@@ -132,8 +132,9 @@ def _exact(kept: np.ndarray, mass: np.ndarray) -> list[float]:
 
 class _Backend(FrozenValue):
     """A receiver's rank function, computed only by the subclass's ``_values(receiver,
-    masks) -> list[float]`` on range-checked masks.  ``_least`` alone picks a slot's least
-    drop and ties, for ``cheapest_drops`` and ``_walk``, from the ``_contenders`` it may prune."""
+    masks) -> list[float]`` on range-checked masks.  ``_least`` picks a slot's least drop
+    and ties, for ``cheapest_drops`` and ``_walk``, from the ``_contenders`` it may prune;
+    the Gaussian ``_walk`` keeps that rule on its own list of the users left."""
 
     def _rank(self, receiver: int, mask: int) -> float:
         return self._values(receiver, [mask])[0]
@@ -161,7 +162,8 @@ class _Backend(FrozenValue):
 
 
 def _least(values: dict[int, float]) -> tuple[float, list[int]]:
-    """The one slot rule: the least of ``{user: value}`` and its exact ties ascending."""
+    """The slot rule: the least of ``{user: value}`` and its exact ties ascending.
+    The Gaussian ``_walk`` applies the same rule inline on its list of the users left."""
     best = min(values.values()) if values else math.inf
     return best, sorted([user for user, value in values.items() if value == best])
 
@@ -250,15 +252,10 @@ class GaussianChannel(_Backend):
         """Members scored by ``_values``' expression in descending-int order, up to the
         first value above the least.  Every IEEE step before the log2 is monotone;
         ``math.log2`` is assumed to be."""
-        members = _drop_members(self.num_users, receiver, mask)
-        total = sum(map(self._scaled_rows[receiver - 1][0].__getitem__, members))
-        return self._scan(receiver, mask, total, 0)
-
-    def _scan(self, receiver: int, mask: int, total: int, start: int) -> dict[int, float]:
-        """``_contenders`` from ``_drop_orders`` index ``start``, before which no member sits."""
         ints, scale, noise = self._scaled_rows[receiver - 1]
+        total = sum(map(ints.__getitem__, _drop_members(self.num_users, receiver, mask)))
         values, least = {}, math.inf
-        for k in islice(self._drop_orders[receiver - 1], start, None):
+        for k in self._drop_orders[receiver - 1]:
             if mask >> k & 1:
                 value = math.log2(1.0 + (total - ints[k]) / scale / noise)
                 if value > least:
@@ -267,16 +264,24 @@ class GaussianChannel(_Backend):
         return values
 
     def _walk(self, receiver: int) -> Generator[tuple[float, list[int]], int, None]:
-        """``_Backend._walk`` on a running int total (exact) and the first member's index."""
+        """``_Backend._walk`` on a running int total (exact) and the users left in
+        ``_drop_orders`` order: a slot's least is the head's value, and its ties
+        are the values equal to it that follow, as ``_contenders`` scans them."""
         check_receiver(self.num_users, receiver)
-        ints, order = self._scaled_rows[receiver - 1][0], self._drop_orders[receiver - 1]
-        mask, total, start = (1 << self.num_users) - 1, sum(ints), 0
+        ints, scale, noise = self._scaled_rows[receiver - 1]
+        left, total = list(self._drop_orders[receiver - 1]), sum(ints)
         while True:
-            chosen = (yield _least(self._scan(receiver, mask, total, start))) - 1
-            mask ^= 1 << chosen
+            least, ties = math.inf, []
+            for k in left:
+                value = math.log2(1.0 + (total - ints[k]) / scale / noise)
+                if value > least:
+                    break
+                least = value
+                ties.append(k + 1)
+            ties.sort()
+            chosen = (yield least, ties) - 1
+            left.remove(chosen)
             total -= ints[chosen]
-            while start < len(order) and not mask >> order[start] & 1:
-                start += 1
 
 
 class DmcChannel(_Backend):
@@ -442,9 +447,13 @@ class TabulatedRanks(_Backend):
     kind = "tabulated"
     _fields = ("num_users", "tables")  # tables per receiver: mask -> value
 
-    def __init__(self, num_users: int, tables: tuple[Mapping[int, float], ...]) -> None:
+    def __init__(self, num_users: int, tables: Iterable[Mapping[int, float]]) -> None:
+        if isinstance(num_users, bool) or not hasattr(num_users, "__index__"):
+            raise ValidationError(f"num_users K must be an integer, got {brief(num_users)}")
+        num_users = operator.index(num_users)
         if num_users < 1:
             raise ValidationError("at least one user required")
+        tables = tuple(tables)
         if len(tables) != num_users:
             raise ValidationError("one table per receiver required")
         expected = 1 << num_users
@@ -535,3 +544,8 @@ def rank_value(ranks: RankFunctionSet, receiver: int, users: Iterable[int]) -> f
 def store_rank_value(ranks: RankFunctionSet, receiver: int, mask: int, value: float) -> None:
     """Memoize a value scored outside ``rank_value``, such as a ``drop_values`` entry."""
     ranks._cache[(receiver, mask)] = value
+
+
+def stored_rank_value(ranks: RankFunctionSet, receiver: int, mask: int) -> float | None:
+    """The memoized value of a range-checked mask, or None if none is stored yet."""
+    return ranks._cache.get((receiver, mask))

@@ -29,6 +29,16 @@ class ScenarioParseError(FairsicError):
     """A scenario document is malformed or carries unknown fields."""
 
 
+def brief(value: object) -> str:
+    """``repr(value)`` for a refusal message: whole up to 80 characters,
+    else cut to 80 with "...", so a refusal stays one short line."""
+    try:
+        text = repr(value)
+    except RecursionError:  # nested nearly as deep as the interpreter allows
+        return f"a {type(value).__name__} nested too deeply to show"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class FrozenValue:
     """An immutable value whose ``__init__`` sets each of ``_fields`` by
     ``object.__setattr__``; assigning or deleting an attribute raises

@@ -79,7 +79,7 @@ def greedy_order(
         while chosen != receiver:
             best, tied = walk.send(chosen)  # None starts the walk
             # Ascending users: the first tied one that is not the receiver's own.
-            chosen = next((c for c in tied if c != receiver), receiver)
+            chosen = tied[1] if tied[0] == receiver and len(tied) > 1 else tied[0]
             sequence.append(chosen)
             remaining.discard(chosen)
             mask ^= 1 << (chosen - 1)

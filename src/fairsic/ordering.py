@@ -16,14 +16,14 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .errors import FrozenValue, ValidationError
+from .errors import FrozenValue, ValidationError, brief
 
 
 def _users(users: Iterable[int], label: str = "users") -> tuple[int, ...]:
     """Users as plain ints, numpy integers included; bools and non-integers are refused."""
     users = tuple(users)
     if not all(hasattr(t, "__index__") and t is not bool for t in set(map(type, users))):
-        raise ValidationError(f"decode order {label} must be integers, got {users}")
+        raise ValidationError(f"decode order {label} must be integers, got {brief(users)}")
     return tuple(map(operator.index, users))
 
 
@@ -36,7 +36,7 @@ class DecodingOrder(FrozenValue):
         num_users = len(perm)
         if sorted(perm) != list(range(1, num_users + 1)):
             raise ValidationError(
-                f"perm {perm} is not a permutation of 1..{num_users}"
+                f"perm {brief(perm)} is not a permutation of 1..{num_users}"
             )
         if not 1 <= decoded_from <= num_users:
             raise ValidationError(f"decoded_from {decoded_from} out of range")
@@ -66,13 +66,13 @@ class DecodingOrder(FrozenValue):
         if not sequence or sequence[-1] != receiver:
             raise ValidationError(
                 f"decode sequence for receiver {receiver} must end with user "
-                f"{receiver}, got {sequence}"
+                f"{receiver}, got {brief(sequence)}"
             )
         if len(set(sequence)) != len(sequence):
-            raise ValidationError(f"decode sequence {sequence} repeats a user")
+            raise ValidationError(f"decode sequence {brief(sequence)} repeats a user")
         undecoded = sorted(set(range(1, num_users + 1)) - set(sequence))
         if len(undecoded) + len(sequence) != num_users:
-            raise ValidationError(f"decode sequence {sequence} has out-of-range users")
+            raise ValidationError(f"decode sequence {brief(sequence)} has out-of-range users")
         perm = tuple(undecoded) + tuple(reversed(sequence))
         return cls(receiver, perm, num_users - len(sequence) + 1)
 

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import math
 
-from .channels import DEFAULT_AXIOM_TOL, DEFAULT_EQ_TOL, RankFunctionSet, rank_value
+from .channels import (
+    DEFAULT_AXIOM_TOL,
+    DEFAULT_EQ_TOL,
+    RankFunctionSet,
+    check_users,
+    rank_value,
+    stored_rank_value,
+)
 from .errors import NonRankInputError, ValidationError
 from .ordering import DecodingOrder, DecodingProfile
 
@@ -36,17 +43,31 @@ def receiver_rate_bounds(
 
     Walks the decoded suffix once; each cap is the rank value of the
     prefix through the user minus the rank value of the prefix before it.
+    Each prefix is read from the memo by mask, built one user at a time,
+    and only a value not stored yet is evaluated by ``rank_value``.
     Sub-tolerance negative differences clamp to zero.
     """
     if order.num_users != ranks.num_users:
         raise ValidationError(f"order covers {order.num_users} users, ranks {ranks.num_users}")
-    previous = rank_value(ranks, order.receiver, order.perm[: order.decoded_from - 1])
+    perm = order.perm
+    mask = check_users(ranks.num_users, perm[: order.decoded_from - 1])
+    previous = _prefix_value(ranks, order, order.decoded_from - 1, mask)
     bounds: dict[int, float] = {}
     for position in range(order.decoded_from, order.num_users + 1):
-        current = rank_value(ranks, order.receiver, order.perm[:position])
-        bounds[order.perm[position - 1]] = _clamped(current - previous, clamp_tol)
+        user = perm[position - 1]
+        mask |= 1 << (user - 1)
+        current = _prefix_value(ranks, order, position, mask)
+        bounds[user] = _clamped(current - previous, clamp_tol)
         previous = current
     return bounds
+
+
+def _prefix_value(ranks: RankFunctionSet, order: DecodingOrder, position: int, mask: int) -> float:
+    """The rank value of ``order.perm[:position]``, whose mask is ``mask``."""
+    value = stored_rank_value(ranks, order.receiver, mask)
+    if value is None:
+        value = rank_value(ranks, order.receiver, order.perm[:position])
+    return value
 
 
 def rate_vector(

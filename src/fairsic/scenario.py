@@ -23,7 +23,7 @@ from .channels import (
     mask_users,
     subsets_in_mask_order,
 )
-from .errors import FairsicError, ScenarioParseError, ValidationError
+from .errors import FairsicError, ScenarioParseError, ValidationError, brief
 
 
 def _check_fields(doc: Mapping[str, Any], expected: set[str]) -> None:
@@ -80,7 +80,7 @@ def _listed_table(num_users: int, j: int, entries: list) -> dict:
         if not all(type(u) is int for u in users) or users != sorted(users):
             raise ScenarioParseError(
                 f"field 'tables' receiver {j}: subsets must be sorted "
-                f"integer lists, got {users}"
+                f"integer lists, got {brief(users)}"
             )
         mask = check_users(num_users, users)
         if mask in table:
@@ -138,7 +138,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> Channel:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ScenarioParseError(
-            f"field 'kind' must be one of gaussian, dmc, tabulated; got {kind!r}"
+            f"field 'kind' must be one of gaussian, dmc, tabulated; got {brief(kind)}"
         )
     parse, per_user = _KINDS[kind]
     _check_fields(doc, {"kind", "K", *per_user})

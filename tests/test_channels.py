@@ -539,6 +539,28 @@ class TestTabulated:
             TabulatedRanks(2, (good, {**good, 2: bad}))
         assert str(excinfo.value) == f"tables entry of receiver 2 for [2] {message}"
 
+    @pytest.mark.parametrize("num_users", [1.5, True, "2", None, 2.0])
+    def test_user_count_must_be_an_integer(self, num_users):
+        good = {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3}
+        with pytest.raises(ValidationError) as excinfo:
+            TabulatedRanks(num_users, (good, good))
+        assert str(excinfo.value) == f"num_users K must be an integer, got {num_users!r}"
+
+    def test_user_count_may_be_a_numpy_integer(self):
+        tables = ({0: 0.0, 1: 0.5},)
+        ranks = TabulatedRanks(np.int64(1), tables)
+        assert type(ranks.num_users) is int
+        assert ranks == TabulatedRanks(1, tables)
+
+    def test_tables_may_be_any_iterable(self):
+        tables = [{0: 0.0, 1: 0.5, 2: 0.7, 3: 1.0}, {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3}]
+        expected = TabulatedRanks(2, tuple(tables))
+        assert TabulatedRanks(2, (table for table in tables)) == expected
+        assert TabulatedRanks(2, tables) == expected
+        assert TabulatedRanks(2, iter(tables)).tables == expected.tables
+        with pytest.raises(ValidationError, match="one table per receiver"):
+            TabulatedRanks(3, (table for table in tables))
+
     def test_caller_dicts_stay_detached(self):
         tables = ({0: 0.0, 1: 0.5, 2: 0.7, 3: 1.5}, {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3})
         ranks = RankFunctionSet.for_channel(TabulatedRanks(2, tables))

@@ -19,6 +19,7 @@ from fairsic import (
 )
 from fairsic.channels import DEFAULT_AXIOM_TOL
 from fairsic.cli import main
+from fairsic.errors import brief
 from fairsic.generate import MAX_GAUSSIAN_USERS
 
 from conftest import LOG2_4_3, LOG2_21_11
@@ -302,6 +303,61 @@ class TestRates:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read profile from {path}: ")
         assert err.count("\n") == 1
+
+
+# Deep enough for an 800-character repr, shallow enough to parse under pytest's frames.
+NESTED = "[" * 400 + "1" + "]" * 400
+
+
+class TestRefusalsStayShort:
+    """A refusal shows at most the first 80 characters of the offending value."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                '{"kind": "gaussian", "K": 2, "gains": [[%s, 1.0], [1.0, 1.0]], '
+                '"powers": [1.0, 1.0], "noise_vars": [1.0, 1.0]}' % NESTED,
+                "invalid gaussian scenario: an entry of row 0 of gains must be a real number, got ",
+            ),
+            (
+                '{"kind": "tabulated", "K": 1, "tables": [[[[], 0.0], [%s, 1.0]]]}' % NESTED,
+                "field 'tables' receiver 1: subsets must be sorted integer lists, got ",
+            ),
+            ('{"kind": %s}' % NESTED, "field 'kind' must be one of gaussian, dmc, tabulated; got "),
+        ],
+    )
+    def test_nested_scenario_value(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "nested.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "solve", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}{'[' * 77}...\n"
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("[[%s], [2]]" % NESTED, "decode order users must be integers, got ([[[["),
+            (json.dumps([[*range(3, 2000), 2.5, 1], [2]]), "decode order users must be integers"),
+            (json.dumps([[*range(3, 2000), 1], [2]]), "decode sequence (3, 4, 5, 6,"),
+        ],
+    )
+    def test_nested_or_long_profile_entry(self, capsys, tmp_path, profile, message):
+        path = tmp_path / "profile.json"
+        path.write_text('{"profile": %s}' % profile)
+        code, out, err = run(capsys, "rates", "--scenario", TWO_USER, "--profile", f"@{path}")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_brief_keeps_short_values_and_cuts_long_ones(self):
+        assert brief((1, 2.5)) == "(1, 2.5)"
+        assert brief("x" * 78) == repr("x" * 78)
+        assert brief("x" * 79) == "'" + "x" * 76 + "..."
+        deep = []
+        for _ in range(100_000):  # past any recursion limit: ``repr`` itself refuses it
+            deep = [deep]
+        assert brief(deep) == "a list nested too deeply to show"
 
 
 class TestCertify:

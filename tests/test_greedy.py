@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fairsic.channels
 import fairsic.greedy
+import fairsic.rates
 from fairsic import (
     DecodingProfile,
     DmcChannel,
@@ -742,3 +743,48 @@ class TestGreedyWalk:
             if isinstance(g, types.GeneratorType) and g.gi_code.co_name == "_walk" and g.gi_frame
         ]
         assert running == []
+
+
+def assert_memo_rates_are_fresh(channel) -> None:
+    """``greedy_profile``'s rates, read from the values its greedy stored, are
+    hex-equal to ``rate_vector`` on a fresh rank set, where every read misses."""
+    report = greedy_profile(RankFunctionSet.for_channel(channel), force=True)
+    fresh = rate_vector(RankFunctionSet.for_channel(channel), report.profile)
+    assert [rate.hex() for rate in report.rates] == [rate.hex() for rate in fresh]
+
+
+class TestRatesReadTheMemo:
+    @pytest.mark.parametrize("kind", ["gaussian", "dmc", "tabulated-submodular"])
+    @pytest.mark.parametrize("num_users", range(1, 7))
+    def test_generated(self, kind, num_users):
+        for seed in range(2):
+            assert_memo_rates_are_fresh(generate_channel(kind, num_users, seed))
+
+    @pytest.mark.parametrize("num_users", [24, 64])
+    def test_generated_gaussian_at_scale(self, num_users):
+        assert_memo_rates_are_fresh(generate_channel("gaussian", num_users, 3))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            tie_heavy_gaussian_channels(), hard_gaussian_channels(), symmetric_dmc_channels()
+        )
+    )
+    def test_drawn(self, channel):
+        assert_memo_rates_are_fresh(channel)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dmc", "tabulated-submodular"])
+    def test_one_evaluation_per_receiver(self, kind, monkeypatch):
+        """Every prefix but the full set was stored by the greedy: the rates
+        call ``fairsic.rates.rank_value`` once per receiver, on the full set."""
+        calls = []
+        inner = fairsic.rates.rank_value
+
+        def counting(ranks, receiver, users):
+            calls.append((receiver, frozenset(users)))
+            return inner(ranks, receiver, users)
+
+        monkeypatch.setattr(fairsic.rates, "rank_value", counting)
+        everyone = frozenset(range(1, 7))
+        greedy_profile(RankFunctionSet.for_channel(generate_channel(kind, 6, 4)))
+        assert calls == [(receiver, everyone) for receiver in range(1, 7)]
