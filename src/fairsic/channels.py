@@ -542,7 +542,7 @@ def rank_value(ranks: RankFunctionSet, receiver: int, users: Iterable[int]) -> f
 
 
 def store_rank_value(ranks: RankFunctionSet, receiver: int, mask: int, value: float) -> None:
-    """Memoize a value scored outside ``rank_value``, such as a ``drop_values`` entry."""
+    """Memoize a value scored outside ``rank_value``, such as a greedy slot's least."""
     ranks._cache[(receiver, mask)] = value
 
 

@@ -69,10 +69,12 @@ def greedy_order(
     Depends only on this receiver's rank function; other receivers never
     enter the argmin.
     """
-    check_receiver(ranks.num_users, receiver)
+    num_users = ranks.num_users
+    check_receiver(num_users, receiver)
     ensure_rank_input(ranks, tol=tol, force=force)
-    remaining = set(range(1, ranks.num_users + 1))
-    mask = (1 << ranks.num_users) - 1
+    # rate_vector's first prefix; each later one is stored as its slot scores it.
+    rank_value(ranks, receiver, range(1, num_users + 1))
+    mask = (1 << num_users) - 1
     sequence: list[int] = []  # first decoded first
     chosen = None
     with closing(ranks.backend._walk(receiver)) as walk:
@@ -81,12 +83,10 @@ def greedy_order(
             # Ascending users: the first tied one that is not the receiver's own.
             chosen = tied[1] if tied[0] == receiver and len(tied) > 1 else tied[0]
             sequence.append(chosen)
-            remaining.discard(chosen)
             mask ^= 1 << (chosen - 1)
-            # The prefix rate_vector reads next is scored: store it, then hit it.
             store_rank_value(ranks, receiver, mask, best)
-            rank_value(ranks, receiver, remaining)
-    return DecodingOrder.from_decode_sequence(receiver, sequence, ranks.num_users)
+    undecoded = [k for k in range(1, num_users + 1) if mask >> (k - 1) & 1]
+    return DecodingOrder(receiver, undecoded + sequence[::-1], len(undecoded) + 1)
 
 
 def greedy_profile(

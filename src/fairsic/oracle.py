@@ -129,12 +129,13 @@ def certify(
 ) -> CertificationReport:
     """Compare the greedy solution against the exhaustive optimum.
 
-    The axiom gate, then the budget, refuse before the greedy runs.
+    The axiom gate, then the budget, refuse before the greedy runs.  The
+    oracle scores on a fresh rank set, never on the values the greedy stored.
     ``jobs`` is accepted for compatibility and has no effect.
     """
     ensure_rank_input(ranks, tol=tol, force=force)
     (budget or EnumerationBudget()).check(ranks.num_users)
     greedy = greedy_profile(ranks, tol=tol, force=True)
-    oracle = brute_force_maxmin(ranks, budget, tol=tol)
+    oracle = brute_force_maxmin(RankFunctionSet(ranks.backend), budget, tol=tol)
     gap = abs(oracle.opt_min_rate - greedy.min_rate)
     return CertificationReport(greedy, oracle, gap, gap <= tol)

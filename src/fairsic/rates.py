@@ -44,7 +44,8 @@ def receiver_rate_bounds(
     Walks the decoded suffix once; each cap is the rank value of the
     prefix through the user minus the rank value of the prefix before it.
     Each prefix is read from the memo by mask, built one user at a time,
-    and only a value not stored yet is evaluated by ``rank_value``.
+    and only a value not stored yet is evaluated by ``rank_value``: after
+    ``greedy_order``, which reads the full set and stores every slot, none.
     Sub-tolerance negative differences clamp to zero.
     """
     if order.num_users != ranks.num_users:

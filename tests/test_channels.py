@@ -1,8 +1,10 @@
 import copy
+import importlib.util
 import math
 import pickle
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,6 +667,9 @@ def test_layers_call_rank_value_by_module_name(kind, channel, monkeypatch):
 
     Tracing wraps those names with a wrapper that turns the users into a
     frozenset; a refactor that bypasses them would leave traced counts at 0.
+    The greedy reads each receiver's full set through its name and stores
+    every slot's value as its walk scores it, so the rates that follow read
+    only memo hits; on a new rank set they evaluate through their own name.
     The one exception: the axiom layer reads a tabulated backend's stored
     tables whole, and reports what a ``rank_value`` fill gives.
     """
@@ -682,11 +687,27 @@ def test_layers_call_rank_value_by_module_name(kind, channel, monkeypatch):
             return inner(ranks, receiver, users)
 
         monkeypatch.setattr(module, "rank_value", counting)
+    num_users = channel.num_users
     fresh = RankFunctionSet.for_channel(channel)
     traced = greedy_profile(fresh, force=True)
     assert (traced.profile, traced.rates) == (plain.profile, plain.rates)
-    assert calls.keys() == {"fairsic.greedy", "fairsic.rates"}
+    assert calls == {"fairsic.greedy": num_users}
+    full = (1 << num_users) - 1
+    assert seen == {(j, full) for j in range(1, num_users + 1)}
+    # Every other value the rank set holds is a slot's prefix of the returned profile.
+    stored = {
+        (order.receiver, check_users(num_users, order.perm[:position]))
+        for order in traced.profile.orders
+        for position in range(order.decoded_from - 1, num_users)
+    }
+    assert set(fresh._cache) == seen | stored
+    other = RankFunctionSet.for_channel(channel)
+    for (receiver, mask), value in fresh._cache.items():
+        assert value.hex() == rank_value(other, receiver, mask_users(mask)).hex()
     assert rate_vector(fresh, traced.profile) == plain.rates
+    assert calls.keys() == {"fairsic.greedy"}
+    assert rate_vector(RankFunctionSet.for_channel(channel), traced.profile) == plain.rates
+    assert calls.keys() == {"fairsic.greedy", "fairsic.rates"}
     assert validate_rank_axioms(fresh) == plain_axioms
     if kind == "tabulated":
         assert calls.keys() == {"fairsic.greedy", "fairsic.rates"}
@@ -707,8 +728,20 @@ def test_layers_call_rank_value_by_module_name(kind, channel, monkeypatch):
     else:
         assert calls.keys() == {"fairsic.greedy", "fairsic.rates", "fairsic.axioms"}
     assert all(count > 0 for count in calls.values())
-    # Every value the rank set holds was asked for through a traced name.
-    assert set(fresh._cache) == seen
+    # Every value the rank set holds was asked for through a traced name or stored
+    # by the greedy as its walk scored it.
+    assert set(fresh._cache) == seen | stored
+
+
+def test_traced_names_exist():
+    """Every ``(module, name)`` the benchmark's tracer patches exists, so a rename
+    fails here and not only as a ``names not found`` line of a smoke run."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name, _ in spans.PATCHES:
+        assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
 
 
 def test_mask_round_trip():

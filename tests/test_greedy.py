@@ -435,13 +435,14 @@ class TestGaussianGreedyMatchesLoop:
                     channel.drop_values(receiver, mask)
 
     def test_one_rank_evaluation_per_slot(self, monkeypatch):
+        """Each order reads its full set once through ``fairsic.greedy.rank_value``, one
+        backend evaluation, and stores every slot's users-left value as its walk scores it."""
         calls = []
         inner = fairsic.greedy.rank_value
 
         def counting(ranks, receiver, users):
             users = frozenset(users)
-            mask = sum(1 << (user - 1) for user in users)
-            calls.append((users, (receiver, mask) in ranks._cache))
+            calls.append(users)
             return inner(ranks, receiver, users)
 
         evaluations = []
@@ -456,24 +457,23 @@ class TestGaussianGreedyMatchesLoop:
         monkeypatch.setattr(fairsic.greedy, "rank_value", counting)
         for backend in (GaussianChannel, DmcChannel, TabulatedRanks):
             monkeypatch.setattr(backend, "_rank", counting_rank(backend._rank))
+        everyone = frozenset(range(1, 7))
         for kind in ("gaussian", "dmc", "tabulated-submodular"):
-            calls.clear()
-            evaluations.clear()
-            ranks = RankFunctionSet.for_channel(generate_channel(kind, 6, 5))
-            order = greedy_order(ranks, 3, force=True)
-            assert len(evaluations) <= 1
-            sequence = decode_sequence(order)
-            assert len(calls) == len(sequence)
-            left = set(range(1, 7))
-            for chosen, (users, _) in zip(sequence, calls):
-                left.discard(chosen)
-                assert users == left
-            for receiver in (1, 2, 4, 5, 6):
+            channel = generate_channel(kind, 6, 5)
+            ranks = RankFunctionSet.for_channel(channel)
+            fresh = RankFunctionSet.for_channel(channel)
+            for receiver in (3, 1, 2, 4, 5, 6):
+                calls.clear()
                 evaluations.clear()
-                greedy_order(ranks, receiver, force=True)
+                order = greedy_order(ranks, receiver, force=True)
+                assert calls == [everyone]
                 assert len(evaluations) <= 1
-            # Each prefix is stored as scored, so every traced call is a memo hit.
-            assert all(hit for _, hit in calls)
+                mask = (1 << 6) - 1
+                for chosen in decode_sequence(order):
+                    mask ^= 1 << (chosen - 1)
+                    expected = rank_value(fresh, receiver, mask_users(mask)).hex()
+                    assert ranks._cache[(receiver, mask)].hex() == expected
+        assert running_walks() == []
 
 
 # Exact ties, ties one ulp apart, zeros, a subnormal and 600 decades of spread.
@@ -639,6 +639,15 @@ class TestNearTies:
         assert abs(after - before) <= bound
 
 
+def running_walks() -> list:
+    """Every ``_walk`` generator that has started and not finished."""
+    return [
+        g
+        for g in gc.get_objects()
+        if isinstance(g, types.GeneratorType) and g.gi_code.co_name == "_walk" and g.gi_frame
+    ]
+
+
 def assert_walk_is_cheapest_drops(channel, removals=None) -> None:
     """Each receiver's ``_walk``, sent the greedy's own choices (or the users of
     ``removals``, in that order, down to the empty set), yields what
@@ -737,12 +746,7 @@ class TestGreedyWalk:
                 assert {type(key) for key in value} <= {int}
         assert {tuple(map(type, key)) for key in ranks._cache} == {(int, int)}
         assert {type(value) for value in ranks._cache.values()} == {float}
-        running = [
-            g
-            for g in gc.get_objects()
-            if isinstance(g, types.GeneratorType) and g.gi_code.co_name == "_walk" and g.gi_frame
-        ]
-        assert running == []
+        assert running_walks() == []
 
 
 def assert_memo_rates_are_fresh(channel) -> None:
@@ -775,16 +779,68 @@ class TestRatesReadTheMemo:
 
     @pytest.mark.parametrize("kind", ["gaussian", "dmc", "tabulated-submodular"])
     def test_one_evaluation_per_receiver(self, kind, monkeypatch):
-        """Every prefix but the full set was stored by the greedy: the rates
-        call ``fairsic.rates.rank_value`` once per receiver, on the full set."""
+        """The greedy reads each receiver's full set through ``fairsic.greedy.rank_value``
+        and stores every slot, so the rates never call ``fairsic.rates.rank_value``."""
         calls = []
-        inner = fairsic.rates.rank_value
+        for module in (fairsic.greedy, fairsic.rates):
 
-        def counting(ranks, receiver, users):
-            calls.append((receiver, frozenset(users)))
-            return inner(ranks, receiver, users)
+            def counting(ranks, receiver, users, *, name=module.__name__, inner=module.rank_value):
+                calls.append((name, receiver, frozenset(users)))
+                return inner(ranks, receiver, users)
 
-        monkeypatch.setattr(fairsic.rates, "rank_value", counting)
+            monkeypatch.setattr(module, "rank_value", counting)
         everyone = frozenset(range(1, 7))
         greedy_profile(RankFunctionSet.for_channel(generate_channel(kind, 6, 4)))
-        assert calls == [(receiver, everyone) for receiver in range(1, 7)]
+        assert calls == [("fairsic.greedy", receiver, everyone) for receiver in range(1, 7)]
+
+
+def assert_memo_is_the_profiles_prefixes(channel) -> None:
+    """After ``greedy_profile`` on a fresh rank set the memo holds, per receiver,
+    exactly the full set and every slot's users-left mask, each value hex-equal to
+    ``rank_value`` on another fresh set; each order is its decode sequence's
+    canonical one.  Where the rates refuse a table as not monotone, the memo the
+    greedy left is checked."""
+    num_users = channel.num_users
+    orders = [
+        greedy_order(RankFunctionSet.for_channel(channel), j, force=True)
+        for j in range(1, num_users + 1)
+    ]
+    ranks = RankFunctionSet.for_channel(channel)
+    try:
+        assert greedy_profile(ranks, force=True).profile == DecodingProfile(orders)
+    except NonRankInputError:  # raised by the rates, after every order is built
+        pass
+    expected = set()
+    for order in orders:
+        receiver = order.receiver
+        sequence = decode_sequence(order)
+        assert order == DecodingOrder.from_decode_sequence(receiver, sequence, num_users)
+        mask = (1 << num_users) - 1
+        expected.add((receiver, mask))
+        for chosen in sequence:
+            mask ^= 1 << (chosen - 1)
+            expected.add((receiver, mask))
+    assert set(ranks._cache) == expected
+    fresh = RankFunctionSet.for_channel(channel)
+    for (receiver, mask), value in ranks._cache.items():
+        assert value.hex() == rank_value(fresh, receiver, mask_users(mask)).hex()
+
+
+class TestMemoHoldsTheProfilesPrefixes:
+    @pytest.mark.parametrize("kind", ["gaussian", "dmc", "tabulated-submodular"])
+    @pytest.mark.parametrize("num_users", range(1, 7))
+    def test_generated(self, kind, num_users):
+        for seed in range(2):
+            assert_memo_is_the_profiles_prefixes(generate_channel(kind, num_users, seed))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            tie_heavy_gaussian_channels(),
+            hard_gaussian_channels(),
+            symmetric_dmc_channels(),
+            tied_tabulated_ranks(),
+        )
+    )
+    def test_drawn(self, channel):
+        assert_memo_is_the_profiles_prefixes(channel)

@@ -1,4 +1,5 @@
 import itertools
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fairsic import (
     count_orders,
     decode_sequence,
     enumerate_orders,
+    generate_channel,
     greedy_profile,
     min_rate,
     random_dmc_channel,
@@ -222,6 +224,26 @@ class TestCertify:
         # The CLI prints the oracle's best profile as the counterexample on failure.
         value, _ = min_rate(rate_vector(ranks, report.oracle.best_profile))
         assert value == report.oracle.opt_min_rate
+
+    def test_oracle_does_not_read_the_greedys_values(self, monkeypatch):
+        """The oracle scores on its own rank set: a greedy walk that reports its
+        first slot 0.01 high skews the greedy's rates, and certify catches it."""
+        channel = generate_channel("gaussian", 4, 1)
+        assert certify(RankFunctionSet.for_channel(channel)).passed
+        walk = GaussianChannel._walk
+
+        def skewed(self, receiver):
+            with closing(walk(self, receiver)) as inner:
+                best, tied = next(inner)
+                chosen = yield best + 0.01, tied
+                while True:
+                    chosen = yield inner.send(chosen)
+
+        monkeypatch.setattr(GaussianChannel, "_walk", skewed)
+        report = certify(RankFunctionSet.for_channel(channel))
+        assert not report.passed
+        fresh = brute_force_maxmin(RankFunctionSet.for_channel(channel))
+        assert report.oracle == fresh
 
     # Zero, signed-zero, subnormal and near-overflow gains and powers, over noise
     # from the smallest subnormal up.
